@@ -1,0 +1,261 @@
+//! Golden fingerprints: pinned constants for a handful of short runs that
+//! together reach every layer of the world — radio, selection, switching,
+//! the 802.11r baseline, data plane, transport, the three fault tiers,
+//! the oracle and seam migration.
+//!
+//! The determinism suites only compare two runs of the same build, so a
+//! refactor that changes behaviour consistently still passes them. These
+//! constants pin behaviour across commits instead: a change that claims
+//! to be behaviour-preserving must leave every one of them untouched.
+//!
+//! Each digest is an FNV-1a hash, streamed through `fmt::Write`, of the
+//! event count, `format!("{:?}", sys)`, every client's metrics (counters,
+//! association timeline, rate samples, failovers), its final serving AP,
+//! the server-side flow state and the controller's switch history. The
+//! sharded digest adds `ShardedRunResult::fingerprint` and the merged
+//! counters. Runs are kept short so the suite is quick in debug builds.
+
+use std::fmt::Write as _;
+use wgtt_core::config::SystemConfig;
+use wgtt_core::runner::{run, FlowSpec, RunResult, Scenario};
+use wgtt_core::shard::{run_sharded, ShardedScenario};
+use wgtt_core::{FlowKind, WgttWorld};
+use wgtt_sim::{BackhaulFault, FaultSchedule, SimDuration, SimTime};
+
+/// FNV-1a over everything written into it.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// Streams one world's observable end state into `h`.
+fn digest_world(h: &mut Fnv, w: &WgttWorld) {
+    let _ = write!(h, "{:?}|dcf={}|", w.sys, w.dcf_collisions);
+    for c in &w.clients {
+        let _ = write!(h, "{:?}|{:?}|", c.serving, c.metrics);
+    }
+    for f in &w.flows {
+        let _ = write!(h, "f{}:{}:{:?}:", f.id.0, f.client, f.completed_at);
+        let _ = match &f.kind {
+            FlowKind::DownUdp(s) | FlowKind::UpUdp(s) => write!(h, "{s:?}"),
+            FlowKind::DownTcp(s) => write!(h, "{s:?}"),
+        };
+        if let Some(sink) = &f.up_sink {
+            let _ = write!(
+                h,
+                ":{}:{}:{}:{:?}",
+                sink.received(),
+                sink.duplicates(),
+                sink.bytes(),
+                sink.last_arrival()
+            );
+        }
+        let _ = write!(h, "|");
+    }
+    let _ = write!(h, "{:?}", w.ctrl.engine.history());
+}
+
+fn digest(r: &RunResult) -> u64 {
+    let mut h = Fnv::new();
+    let _ = write!(h, "events={}|", r.events);
+    digest_world(&mut h, &r.world);
+    h.0
+}
+
+fn check(name: &str, got: u64, want: u64) {
+    assert_eq!(
+        got, want,
+        "{name}: golden fingerprint moved (got {got:#018x}, pinned {want:#018x})"
+    );
+}
+
+fn udp_down_up() -> Vec<FlowSpec> {
+    vec![
+        FlowSpec::DownlinkUdp {
+            rate_bps: 20_000_000,
+            payload: 1472,
+        },
+        FlowSpec::UplinkUdp {
+            rate_bps: 2_000_000,
+            payload: 1200,
+        },
+    ]
+}
+
+fn drive(cfg: SystemConfig, flows: Vec<FlowSpec>, seed: u64, faults: FaultSchedule) -> Scenario {
+    let mut s = Scenario::single_drive(cfg, 25.0, flows, seed);
+    s.faults = faults;
+    s
+}
+
+// Recorded on the commit that introduced this file; never edit them to
+// make a change pass.
+const HEALTHY_WGTT: u64 = 0x0a6f_75e1_65f9_6774;
+const TCP_FAULTED: u64 = 0xe6c0_8f74_3fb1_c78b;
+const COLD_RESTART: u64 = 0x8edf_3530_d04c_a11c;
+const STANDBY_ZOMBIE: u64 = 0xde17_df4b_01ca_052d;
+const BASELINE_80211R: u64 = 0xb2ad_fc2e_62d1_8f96;
+const NO_FLUSH_NO_PRIORITY: u64 = 0xf082_7271_6bc8_32b4;
+const CHANNEL_STRIDE_3: u64 = 0xbfdb_76b4_a47f_62a1;
+const SHARDED_SEAM_FAULTS: u64 = 0xa834_8ef5_9495_96b1;
+
+/// The paper's system on a clean drive: selection, switching, Block-ACK
+/// forwarding, uplink diversity and de-duplication, the oracle.
+#[test]
+fn healthy_wgtt_drive() {
+    let r = run(drive(
+        SystemConfig::default(),
+        udp_down_up(),
+        1201,
+        FaultSchedule::default(),
+    ));
+    assert!(!r.world.ctrl.engine.history().is_empty(), "no switches");
+    assert!(r.world.sys.uplink_duplicates > 0, "uplink dedup idle");
+    check("healthy_wgtt_drive", digest(&r), HEALTHY_WGTT);
+}
+
+/// TCP over a lossy control plane, an AP outage with CSI drops (health
+/// layer and emergency re-attach) and backhaul duplication/reordering.
+#[test]
+fn tcp_under_control_loss_and_faults() {
+    let cfg = SystemConfig {
+        control_loss_prob: 0.05,
+        ..SystemConfig::default()
+    };
+    let until = SimTime::from_secs(600);
+    let faults = FaultSchedule::new()
+        .with_ap_outage(2, SimTime::from_millis(1500), SimTime::from_millis(3000))
+        .with_csi_drops(SimTime::from_secs(1), SimTime::from_secs(4), 0.3)
+        .with_duplication(SimTime::ZERO, until, 0.05)
+        .with_reordering(SimTime::ZERO, until, 0.05, SimDuration::from_millis(1));
+    let r = run(drive(
+        cfg,
+        vec![FlowSpec::DownlinkTcp { limit: None }],
+        1202,
+        faults,
+    ));
+    let s = &r.world.sys;
+    assert!(s.ap_crashes >= 1, "outage never fired");
+    assert!(s.emergency_reattaches >= 1, "no emergency re-attach");
+    assert!(s.backhaul_dup_deliveries > 0 && s.backhaul_reorders > 0);
+    check("tcp_under_control_loss_and_faults", digest(&r), TCP_FAULTED);
+}
+
+/// A cold controller restart over a lossy backhaul: resync, and a
+/// repair-adopt of a client the crash left with no serving AP (the
+/// pinned seed and window produce exactly that orphan).
+#[test]
+fn cold_controller_restart() {
+    let faults = FaultSchedule::new()
+        .with_controller_crash(SimTime::from_millis(2000), SimTime::from_millis(2600))
+        .with_backhaul_fault(BackhaulFault {
+            from: SimTime::from_millis(1900),
+            until: SimTime::from_millis(2700),
+            extra_loss_prob: 0.3,
+            extra_latency: SimDuration::ZERO,
+            extra_jitter_mean: SimDuration::ZERO,
+        });
+    let r = run(drive(SystemConfig::default(), udp_down_up(), 1303, faults));
+    let s = &r.world.sys;
+    assert_eq!(s.resyncs.len(), 1, "exactly one resync round");
+    assert!(s.resync_repairs >= 1, "resync repaired nothing");
+    check("cold_controller_restart", digest(&r), COLD_RESTART);
+}
+
+/// A primary crash with a warm standby: journal shipping, takeover under
+/// a bumped term, and the woken zombie fenced at every AP.
+#[test]
+fn standby_failover_with_zombie() {
+    let faults = FaultSchedule::new()
+        .with_controller_failover(SimTime::from_millis(2000), SimTime::from_millis(3500));
+    let r = run(drive(SystemConfig::default(), udp_down_up(), 908, faults));
+    let s = &r.world.sys;
+    assert_eq!(s.standby_takeovers, 1, "standby never promoted");
+    assert_eq!(s.zombie_standdowns, 1, "zombie never woke");
+    assert!(s.stale_term_dropped > 0, "no frame was fenced");
+    check("standby_failover_with_zombie", digest(&r), STANDBY_ZOMBIE);
+}
+
+/// The Enhanced 802.11r baseline: beacons, roaming, reassociation.
+#[test]
+fn baseline_80211r_drive() {
+    let r = run(drive(
+        SystemConfig::baseline(),
+        udp_down_up(),
+        1205,
+        FaultSchedule::default(),
+    ));
+    assert!(
+        r.world.clients[0].metrics.switch_count() >= 1,
+        "baseline never roamed"
+    );
+    check("baseline_80211r_drive", digest(&r), BASELINE_80211R);
+}
+
+/// The queue-handoff and control-priority ablations together.
+#[test]
+fn no_flush_no_priority() {
+    let cfg = SystemConfig {
+        flush_on_switch: false,
+        control_priority: false,
+        ..SystemConfig::default()
+    };
+    let r = run(drive(cfg, udp_down_up(), 1206, FaultSchedule::default()));
+    assert!(!r.world.ctrl.engine.history().is_empty(), "no switches");
+    check("no_flush_no_priority", digest(&r), NO_FLUSH_NO_PRIORITY);
+}
+
+/// A three-channel plan: per-channel carrier sense and listening.
+#[test]
+fn channel_stride_three() {
+    let cfg = SystemConfig {
+        channel_stride: 3,
+        ..SystemConfig::default()
+    };
+    let r = run(drive(cfg, udp_down_up(), 1207, FaultSchedule::default()));
+    assert!(!r.world.ctrl.engine.history().is_empty(), "no switches");
+    check("channel_stride_three", digest(&r), CHANNEL_STRIDE_3);
+}
+
+/// A 4-shard ring at one worker with 10 % seam loss and duplication:
+/// retirement, two-phase handoff with retries, admission, import and
+/// outbox forwarding.
+#[test]
+fn sharded_ring_with_seam_faults() {
+    let mut cfg = SystemConfig::default();
+    cfg.deployment.num_aps = 4;
+    let mut s =
+        ShardedScenario::ring_corridor(cfg, 4, 2, 35.0, 5_000_000, SimDuration::from_secs(6), 1214);
+    let end = SimTime::ZERO + s.duration + SimDuration::from_secs(1);
+    let seam = FaultSchedule::new()
+        .with_migration_loss(SimTime::ZERO, end, 0.10)
+        .with_migration_dup(SimTime::ZERO, end, 0.10);
+    s.shard_faults = vec![seam; s.shards];
+    let r = run_sharded(&s, 1);
+    assert!(r.sys.migrated_in >= 1, "ring admitted no migrants");
+    assert!(r.sys.migration_retries > 0, "seam loss forced no retry");
+    assert!(
+        r.sys.migration_dups_dropped > 0,
+        "no seam duplicate dropped"
+    );
+    assert!(r.sys.seam_forwarded > 0, "no late seam datagram forwarded");
+    let mut h = Fnv::new();
+    let _ = write!(h, "{}|{:?}|", r.fingerprint(), r.sys);
+    for w in &r.worlds {
+        digest_world(&mut h, w);
+    }
+    check("sharded_ring_with_seam_faults", h.0, SHARDED_SEAM_FAULTS);
+}
