@@ -834,21 +834,7 @@ pub fn run_sharded(scenario: &ShardedScenario, workers: usize) -> ShardedRunResu
             }
             for c in 0..scenario.clients_per_shard {
                 for f in &scenario.flows {
-                    let kind = if f.uplink {
-                        crate::world::FlowKind::UpUdp(wgtt_net::CbrSource::new(
-                            f.rate_bps,
-                            f.payload,
-                            SimTime::from_millis(1),
-                        ))
-                    } else {
-                        crate::world::FlowKind::DownUdp(wgtt_net::CbrSource::new(
-                            f.rate_bps,
-                            f.payload,
-                            SimTime::from_millis(1),
-                        ))
-                    };
-                    let fidx = world.add_flow(c, kind);
-                    world.flows[fidx].start = SimTime::from_millis(1);
+                    world.add_migrant_flow(c, f, SimTime::from_millis(1));
                 }
             }
             let mut sim = Simulator::new(world);
