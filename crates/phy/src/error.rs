@@ -259,6 +259,46 @@ mod tests {
         assert!(m.capacity_bps(gi, &flat_csi(-20.0), 1500) < 1.0);
     }
 
+    /// The memoized hot paths agree with the reference implementations
+    /// call for call — bit-identical capacity and the same argmax MCS —
+    /// over flat, notched and Rayleigh-faded CSIs from -10 to 45 dB, both
+    /// guard intervals and three frame lengths.
+    #[test]
+    fn memoized_paths_match_ref() {
+        let m = PerModel::default();
+        let mut rng = wgtt_sim::SimRng::new(0x5eed);
+        let sigma = std::f64::consts::FRAC_1_SQRT_2;
+        for step in 0..=55 {
+            let snr = -10.0 + step as f64;
+            let mut faded = flat_csi(snr);
+            for h in faded.h.iter_mut() {
+                *h = Cplx::new(rng.normal(0.0, sigma), rng.normal(0.0, sigma));
+            }
+            let mut notched = flat_csi(snr);
+            for h in notched.h.iter_mut().step_by(5) {
+                *h = Cplx::new(0.05, 0.0);
+            }
+            for csi in [flat_csi(snr), faded, notched] {
+                for gi in [GuardInterval::Long, GuardInterval::Short] {
+                    for len in [100, 1500, 4000] {
+                        let fast = m.capacity_bps(gi, &csi, len);
+                        let slow = m.capacity_bps_ref(gi, &csi, len);
+                        assert_eq!(
+                            fast.to_bits(),
+                            slow.to_bits(),
+                            "capacity at {snr} dB, {gi:?}, {len} B: {fast} vs {slow}"
+                        );
+                        assert_eq!(
+                            m.best_mcs(gi, &csi, len),
+                            m.best_mcs_ref(gi, &csi, len),
+                            "best MCS at {snr} dB, {gi:?}, {len} B"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn success_from_csi_penalizes_notches() {
         let m = PerModel::default();
