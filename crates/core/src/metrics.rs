@@ -135,22 +135,6 @@ impl ClientMetrics {
         }
     }
 
-    /// Mean failover latency (crash → re-attach), if any failover completed.
-    pub fn mean_failover(&self) -> Option<SimDuration> {
-        if self.failovers.is_empty() {
-            return None;
-        }
-        let total: f64 = self.failovers.iter().map(|&(_, d)| d.as_secs_f64()).sum();
-        Some(SimDuration::from_secs_f64(
-            total / self.failovers.len() as f64,
-        ))
-    }
-
-    /// Worst-case failover latency.
-    pub fn max_failover(&self) -> Option<SimDuration> {
-        self.failovers.iter().map(|&(_, d)| d).max()
-    }
-
     /// Mean channel-capacity loss, bit/s (Fig 4's dashed-area metric and
     /// the Fig 21 y-axis).
     pub fn mean_capacity_loss_bps(&self) -> f64 {
@@ -158,15 +142,6 @@ impl ClientMetrics {
             0.0
         } else {
             self.capacity_loss_bps_sum / self.capacity_samples as f64
-        }
-    }
-
-    /// Capacity-loss *rate*: loss as a fraction of the best achievable.
-    pub fn capacity_loss_fraction(&self) -> f64 {
-        if self.capacity_best_bps_sum <= 0.0 {
-            0.0
-        } else {
-            self.capacity_loss_bps_sum / self.capacity_best_bps_sum
         }
     }
 
