@@ -8,10 +8,9 @@
 //! * `report(fast: bool) -> String` which runs it, saves JSON under
 //!   `results/`, and renders the paper's table/series as text.
 //!
-//! Individual binaries under `src/bin/` run single experiments
-//! (`cargo run -p wgtt-bench --release --bin fig13_speed_sweep`); the
-//! `experiments` bench target replays everything
-//! (`cargo bench -p wgtt-bench`).
+//! [`all_experiments`] lists every experiment by id. The `run_all` binary
+//! runs the ids it is given, or all of them in paper order
+//! (`cargo run -p wgtt-bench --release --bin run_all -- fig13_speed_sweep`).
 
 pub mod ablations;
 pub mod alloccount;
