@@ -1,14 +1,14 @@
 //! Parallel experiment fan-out.
 //!
 //! The simulation engine is deliberately single-threaded (see
-//! `wgtt_sim::engine`); parallelism lives here, one level up, where
-//! independent `(Scenario, seed)` runs fan out across a worker pool built
-//! on `std::thread::scope` — no external dependencies, works offline.
+//! `wgtt_sim::engine`); independent `(Scenario, seed)` runs fan out across
+//! the workspace's one worker pool, `wgtt_sim::lockstep::map_with_threads`
+//! (re-exported here), which the sharded lockstep driver also runs on.
+//! This module only picks the pool size and adds the scenario fan-out.
 //!
-//! Determinism contract: each job is a pure function of its input, workers
-//! claim jobs from a shared index counter, and results are written back
-//! into the slot of the *input* index. Output order therefore never depends
-//! on thread count or scheduling — the same job list produces byte-identical
+//! Determinism contract: each job is a pure function of its input and
+//! results come back in input order, so output never depends on thread
+//! count or scheduling — the same job list produces byte-identical
 //! aggregate JSON with 1, 2, or 64 workers (locked by
 //! `crates/bench/tests/fanout_determinism.rs`).
 //!
@@ -16,9 +16,8 @@
 //! overridden with `WGTT_BENCH_THREADS` (useful for the determinism tests
 //! and for pinning CI measurements).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use wgtt_core::runner::{run, RunResult, Scenario};
+pub use wgtt_sim::lockstep::map_with_threads;
 
 /// Environment variable overriding the worker-pool size.
 pub const THREADS_ENV: &str = "WGTT_BENCH_THREADS";
@@ -50,67 +49,6 @@ where
     map_with_threads(threads, items, f)
 }
 
-/// Same as [`map`] with an explicit pool size — the determinism tests pin
-/// 1, 2, and 8 workers against each other.
-///
-/// Workers pull the next unclaimed input index from a shared atomic
-/// counter; each result lands in the output slot of its input index, so the
-/// returned `Vec` is ordered by input regardless of which worker finished
-/// first. A panicking job propagates out of the scope join and fails the
-/// caller, like the serial loop would.
-pub fn map_with_threads<I, O, F>(threads: usize, items: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I, usize) -> O + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if threads <= 1 || n == 1 {
-        // Inline serial path: identical code to a plain loop, so a
-        // 1-worker fan-out is trivially bit-identical to the serial engine.
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| f(x, i))
-            .collect();
-    }
-    let jobs: Vec<Mutex<Option<I>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
-    let slots: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let jobs = &jobs;
-        let slots = &slots;
-        let next = &next;
-        for _ in 0..threads.min(n) {
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = jobs[i]
-                    .lock()
-                    .expect("job slot poisoned")
-                    .take()
-                    .expect("job claimed twice");
-                let out = f(item, i);
-                *slots[i].lock().expect("result slot poisoned") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker skipped a job")
-        })
-        .collect()
-}
-
 /// Runs independent scenarios across the worker pool, results in input
 /// order — the common fan-out for seed sweeps and experiment grids.
 pub fn run_scenarios(scenarios: Vec<Scenario>) -> Vec<RunResult> {
@@ -120,23 +58,6 @@ pub fn run_scenarios(scenarios: Vec<Scenario>) -> Vec<RunResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn results_are_input_ordered_at_any_width() {
-        let items: Vec<u64> = (0..37).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for threads in [1, 2, 3, 8, 64] {
-            let got = map_with_threads(threads, items.clone(), |x, _| x * x);
-            assert_eq!(got, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn index_matches_input_position() {
-        let items = vec!["a", "b", "c", "d"];
-        let got = map_with_threads(4, items, |s, i| format!("{i}:{s}"));
-        assert_eq!(got, vec!["0:a", "1:b", "2:c", "3:d"]);
-    }
 
     #[test]
     fn empty_and_singleton() {
@@ -151,16 +72,5 @@ mod tests {
         assert_eq!(thread_count(0), 1);
         assert_eq!(thread_count(1), 1);
         assert!(thread_count(1000) >= 1);
-    }
-
-    #[test]
-    fn worker_panic_propagates() {
-        let r = std::panic::catch_unwind(|| {
-            map_with_threads(2, vec![0u32, 1, 2, 3], |x, _| {
-                assert!(x != 2, "boom");
-                x
-            })
-        });
-        assert!(r.is_err());
     }
 }

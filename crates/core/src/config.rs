@@ -151,23 +151,6 @@ pub struct SystemConfig {
     pub uplink_diversity: bool,
 
     // --- plumbing parameters ---
-    /// Mean SNR floor below which frames are never received at all, dB.
-    pub range_floor_db: f64,
-    /// Minimum spacing of CSI reports per (AP, client) link — bounds
-    /// control traffic, mirrors the CSI tool's per-frame reporting at
-    /// realistic frame rates.
-    pub csi_report_interval: SimDuration,
-    /// Client sends a null (keep-alive) frame if it has been silent this
-    /// long, keeping CSI flowing when no uplink data exists.
-    pub probe_interval: SimDuration,
-    /// Controller evaluates AP selection at this cadence.
-    pub selection_tick: SimDuration,
-    /// One-way latency between the traffic server and the controller
-    /// (paper caches content on a local server).
-    pub server_latency: SimDuration,
-    /// Extra delay applied to control packets at a busy AP when
-    /// `control_priority` is off.
-    pub no_priority_penalty: SimDuration,
     /// Inter-AP backhaul control-message loss probability (exercises the
     /// 30 ms stop-retransmission path).
     pub control_loss_prob: f64,
@@ -203,12 +186,6 @@ impl Default for SystemConfig {
             uplink_dedup: true,
             control_priority: true,
             uplink_diversity: true,
-            range_floor_db: -2.0,
-            csi_report_interval: SimDuration::from_millis(1),
-            probe_interval: SimDuration::from_millis(10),
-            selection_tick: SimDuration::from_millis(1),
-            server_latency: SimDuration::from_millis(1),
-            no_priority_penalty: SimDuration::from_millis(15),
             control_loss_prob: 0.0,
             channel_stride: 1,
             degraded_uplink_cap: crate::ap::DEGRADED_UPLINK_CAP,

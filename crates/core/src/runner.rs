@@ -191,21 +191,12 @@ fn build_trajectory(
     }
 }
 
-/// Builds and runs a scenario to completion on the default (calendar
-/// queue) hot path.
+/// Builds and runs a scenario to completion.
 pub fn run(scenario: Scenario) -> RunResult {
-    run_impl(scenario, false)
-}
-
-/// Runs a scenario on the retained reference path (legacy heap event
-/// queue). Must produce results byte-identical to [`run`] — the
-/// fingerprint-equality suites enforce this.
-pub fn run_reference(scenario: Scenario) -> RunResult {
-    run_impl(scenario, true)
-}
-
-fn run_impl(scenario: Scenario, reference: bool) -> RunResult {
     let dep = scenario.config.deployment.build();
+    if let Err(e) = scenario.faults.check_aps(dep.aps.len()) {
+        panic!("{e}");
+    }
     let trajectories: Vec<Box<dyn Trajectory>> = scenario
         .clients
         .iter()
@@ -242,11 +233,7 @@ fn run_impl(scenario: Scenario, reference: bool) -> RunResult {
             world.flows[fidx].start = start;
         }
     }
-    let mut sim = if reference {
-        Simulator::new_reference(world)
-    } else {
-        Simulator::new(world)
-    };
+    let mut sim = Simulator::new(world);
     prime_events(&mut sim);
     // Run past the traffic end so in-flight packets settle.
     let settle = SimDuration::from_millis(500);

@@ -100,8 +100,6 @@ pub struct ShardedScenario {
     pub gap_m: f64,
     /// How far before a cluster's first AP a migrant is re-admitted, m.
     pub entry_lead_m: f64,
-    /// Lockstep epoch override; `None` derives [`Self::safe_epoch`].
-    pub epoch: Option<SimDuration>,
     /// `true` wraps the corridor into a ring: vehicles leaving the last
     /// cluster re-enter the first, keeping per-shard load constant (the
     /// scaling experiment uses this).
@@ -159,7 +157,6 @@ impl ShardedScenario {
             seed,
             gap_m: 40.0,
             entry_lead_m: 4.0,
-            epoch: None,
             ring: true,
             shard_faults: Vec::new(),
             naive_handoff: false,
@@ -190,21 +187,18 @@ impl ShardedScenario {
                 self.shards
             )));
         }
-        if let Err(e) = self.config.migration.validate() {
-            return Err(ScenarioError(e));
+        for f in &self.shard_faults {
+            f.check_aps(self.config.deployment.num_aps)
+                .map_err(ScenarioError)?;
         }
-        Ok(())
+        self.config.migration.validate().map_err(ScenarioError)
     }
 
-    /// The derived safe epoch: `min(50 ms, (gap − lead) / 2v)` (see the
-    /// module docs for why). The guard distance is positive for any
-    /// scenario that passes [`Self::validate`]; an invalid geometry
-    /// re-raises that validation error here rather than dividing by a
-    /// non-positive guard.
+    /// The lockstep epoch: `min(50 ms, (gap − lead) / 2v)` (see the module
+    /// docs for why). The guard distance is positive for any scenario that
+    /// passes [`Self::validate`]; an invalid scenario re-raises that
+    /// validation error here rather than dividing by a non-positive guard.
     pub fn safe_epoch(&self) -> SimDuration {
-        if let Some(e) = self.epoch {
-            return e;
-        }
         if let Err(e) = self.validate() {
             panic!("{e}");
         }
@@ -1123,6 +1117,17 @@ mod tests {
         s.shard_faults = vec![FaultSchedule::new()]; // 1 schedule, 2 shards
         let err = s.validate().unwrap_err().to_string();
         assert!(err.contains("1 schedules for 2 shards"), "{err}");
+    }
+
+    #[test]
+    fn fault_schedule_naming_a_missing_ap_is_rejected() {
+        let mut s = tiny(); // 4 APs per shard
+        let outage =
+            FaultSchedule::new().with_ap_outage(99, SimTime::from_secs(1), SimTime::from_secs(2));
+        s.shard_faults = vec![FaultSchedule::new(), outage];
+        let err = s.validate().unwrap_err().to_string();
+        assert!(err.contains("names AP 99"), "{err}");
+        assert!(err.contains("has 4 APs"), "{err}");
     }
 
     #[test]

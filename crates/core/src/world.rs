@@ -54,6 +54,12 @@ use radio::{AirTx, NodeKey};
 use recovery::Standby;
 pub use seam::{MigrantFlow, MigrantSpec, MigrationRecord, SeamEntry, SeamPayload};
 
+/// Mean SNR floor below which frames are never received at all, dB.
+pub const RANGE_FLOOR_DB: f64 = -2.0;
+/// One-way latency between the traffic server and the controller
+/// (paper caches content on a local server).
+const SERVER_LATENCY: SimDuration = SimDuration::from_millis(1);
+
 /// One post-reboot resync round: the controller has broadcast `Resync` and
 /// is collecting AP replies. Uplink copies arriving mid-round are held so
 /// they are only dedup-checked once the table is re-primed.
@@ -550,7 +556,7 @@ impl WgttWorld {
     }
 
     fn in_radio_range(&self, ap: usize, c: usize, t: SimTime) -> bool {
-        self.mean_snr(ap, c, t) >= self.cfg.range_floor_db
+        self.mean_snr(ap, c, t) >= RANGE_FLOOR_DB
     }
 
     fn csi(&self, ap: usize, c: usize, t: SimTime) -> wgtt_phy::Csi {
@@ -588,14 +594,8 @@ impl WgttWorld {
             }
         }
         // Layer on any scheduled backhaul impairment; a no-op impairment
-        // takes the exact healthy code path (same RNG draws).
+        // makes the healthy model's RNG draws.
         let imp = self.faults.backhaul_at(ctx.now());
-        if imp.is_noop() {
-            if let Some(d) = self.backhaul.transit(bytes) {
-                ctx.schedule_in(d, ev);
-            }
-            return;
-        }
         let delivery = self.backhaul.transit_faulty(bytes, &imp);
         if let Some(d2) = delivery.duplicate {
             self.sys.backhaul_dup_deliveries += 1;

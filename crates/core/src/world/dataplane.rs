@@ -89,7 +89,7 @@ impl WgttWorld {
             self.journal_pending_keys
                 .push(Deduplicator::key(packet.client, packet.ip_ident));
         }
-        let latency = self.cfg.server_latency;
+        let latency = SERVER_LATENCY;
         ctx.schedule_in(latency, Ev::PacketAtServer(packet));
     }
 

@@ -24,6 +24,10 @@ const CAPTURE_MARGIN_DB: f64 = 8.0;
 const CCA_WINDOW_US: f64 = 1.0;
 /// How long the client's reorder buffer waits on a hole before skipping it.
 const REORDER_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+/// Minimum spacing of CSI reports per (AP, client) link — bounds
+/// control traffic, mirrors the CSI tool's per-frame reporting at
+/// realistic frame rates.
+const CSI_REPORT_INTERVAL: SimDuration = SimDuration::from_millis(1);
 
 /// A transmission in flight on the radio.
 pub(super) enum AirTx {
@@ -951,9 +955,9 @@ impl WgttWorld {
         }
         let gi = self.cfg.gi;
         let st = self.aps[ap].client_mut(ClientId(c as u32), gi);
-        let due = st.last_csi_report.map_or(true, |t| {
-            now.saturating_since(t) >= self.cfg.csi_report_interval
-        });
+        let due = st
+            .last_csi_report
+            .map_or(true, |t| now.saturating_since(t) >= CSI_REPORT_INTERVAL);
         if !due {
             return;
         }

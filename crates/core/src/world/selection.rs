@@ -3,6 +3,12 @@
 
 use super::*;
 
+/// Controller evaluates AP selection at this cadence.
+const SELECTION_TICK: SimDuration = SimDuration::from_millis(1);
+/// Client sends a null (keep-alive) frame if it has been silent this
+/// long, keeping CSI flowing when no uplink data exists.
+const PROBE_INTERVAL: SimDuration = SimDuration::from_millis(10);
+
 impl WgttWorld {
     pub(super) fn on_selection_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
@@ -10,7 +16,7 @@ impl WgttWorld {
             // A dead controller makes no decisions. Keep the tick alive
             // (it draws no RNG) so selection resumes right after recovery.
             if now < self.traffic_until + SimDuration::from_millis(500) {
-                ctx.schedule_in(self.cfg.selection_tick, Ev::SelectionTick);
+                ctx.schedule_in(SELECTION_TICK, Ev::SelectionTick);
             }
             return;
         }
@@ -81,7 +87,7 @@ impl WgttWorld {
             }
         }
         if now < self.traffic_until + SimDuration::from_millis(500) {
-            ctx.schedule_in(self.cfg.selection_tick, Ev::SelectionTick);
+            ctx.schedule_in(SELECTION_TICK, Ev::SelectionTick);
         }
     }
 
@@ -98,7 +104,7 @@ impl WgttWorld {
         let now = ctx.now();
         if now < self.traffic_until {
             let cl = &self.clients[c];
-            let idle = now.saturating_since(cl.last_uplink_tx) >= self.cfg.probe_interval;
+            let idle = now.saturating_since(cl.last_uplink_tx) >= PROBE_INTERVAL;
             if idle && cl.uplink_queue.is_empty() {
                 let pkt = self.factory.make(
                     ClientId(c as u32),
@@ -111,7 +117,7 @@ impl WgttWorld {
                 self.clients[c].enqueue_uplink(pkt);
                 self.ensure_round(ctx);
             }
-            ctx.schedule_in(self.cfg.probe_interval, Ev::ProbeTick { client: c });
+            ctx.schedule_in(PROBE_INTERVAL, Ev::ProbeTick { client: c });
         }
     }
 }

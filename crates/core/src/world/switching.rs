@@ -10,6 +10,9 @@ use crate::switching::SwitchTimings;
 /// ever claimed. Far above the one-way backhaul latency plus AP processing,
 /// so a merely slow (not lost) `start` always wins the race.
 const READOPT_GUARD: SimDuration = SimDuration::from_millis(100);
+/// Extra delay applied to control packets at a busy AP when
+/// `control_priority` is off.
+const NO_PRIORITY_PENALTY: SimDuration = SimDuration::from_millis(15);
 
 impl WgttWorld {
     pub(super) fn issue_switch(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, from: usize, to: usize) {
@@ -485,7 +488,7 @@ impl WgttWorld {
         if self.cfg.control_priority {
             delay
         } else {
-            delay + self.cfg.no_priority_penalty
+            delay + NO_PRIORITY_PENALTY
         }
     }
 

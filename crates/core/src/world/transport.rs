@@ -9,7 +9,7 @@ impl WgttWorld {
             return;
         };
         for pkt in due {
-            ctx.schedule_in(self.cfg.server_latency, Ev::PacketAtController(pkt));
+            ctx.schedule_in(SERVER_LATENCY, Ev::PacketAtController(pkt));
         }
         if let Some(t) = next.filter(|&t| t < self.traffic_until) {
             ctx.schedule_at(t, Ev::UdpDownTick(fidx));
@@ -93,7 +93,7 @@ impl WgttWorld {
                     len: seg.len as u64,
                 },
             );
-            let latency = self.cfg.server_latency;
+            let latency = SERVER_LATENCY;
             ctx.schedule_in(latency, Ev::PacketAtController(pkt));
         }
         // Arm the RTO check if needed.

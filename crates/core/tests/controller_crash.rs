@@ -19,7 +19,7 @@
 
 use wgtt_core::config::SystemConfig;
 use wgtt_core::protocol_check::{check, CheckerConfig, ViolationKind};
-use wgtt_core::runner::{run, run_reference, FlowSpec, RunResult, Scenario};
+use wgtt_core::runner::{run, FlowSpec, RunResult, Scenario};
 use wgtt_sim::{BackhaulFault, FaultSchedule, SimDuration, SimTime};
 
 fn flows() -> Vec<FlowSpec> {
@@ -301,16 +301,6 @@ fn crash_schedule_is_deterministic() {
     let fp = fingerprint(&a);
     assert_eq!(fp, fingerprint(&b), "same seed+schedule diverged");
     emit_probe("controller_crash_drive", &fp);
-}
-
-/// The calendar-queue hot path and the retained legacy heap-queue
-/// reference path must agree bit-for-bit across a controller crash and
-/// resync (timer cancels spanning the outage window).
-#[test]
-fn reference_queue_path_is_bit_identical_across_crash() {
-    let a = run(drive(903, 25.0, crash_schedule(2.0, 3.5)));
-    let b = run_reference(drive(903, 25.0, crash_schedule(2.0, 3.5)));
-    assert_eq!(fingerprint(&a), fingerprint(&b));
 }
 
 /// A schedule with no controller-crash window must take the exact

@@ -5,7 +5,7 @@
 //! deterministically for a given seed and fault schedule.
 
 use wgtt_core::config::SystemConfig;
-use wgtt_core::runner::{run, run_reference, FlowSpec, RunResult, Scenario};
+use wgtt_core::runner::{run, FlowSpec, RunResult, Scenario};
 use wgtt_sim::{FaultSchedule, SimDuration, SimRng, SimTime};
 
 fn udp_flows() -> Vec<FlowSpec> {
@@ -141,19 +141,15 @@ fn identical_seed_and_schedule_are_bit_identical() {
     assert_eq!(fingerprint(&a), fingerprint(&b));
 }
 
-/// The calendar-queue hot path and the retained legacy heap-queue
-/// reference path must be indistinguishable at the metric level, even
-/// under a fault schedule that exercises cancels (outages, CSI drops).
+/// An outage on an AP the deployment does not have is rejected while the
+/// world is built, with a message naming the AP and the AP count, instead
+/// of an out-of-bounds panic when the crash event fires mid-run.
 #[test]
-fn reference_queue_path_is_bit_identical() {
-    let faults = || {
-        FaultSchedule::new()
-            .with_ap_outage(3, SimTime::from_secs(1), SimTime::from_secs(3))
-            .with_csi_drops(SimTime::from_secs(2), SimTime::from_secs(6), 0.3)
-    };
-    let a = run(drive(77, faults()));
-    let b = run_reference(drive(77, faults()));
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+#[should_panic(expected = "fault schedule names AP 99, but the deployment has 8 APs")]
+fn outage_on_a_missing_ap_fails_before_the_run() {
+    let faults =
+        FaultSchedule::new().with_ap_outage(99, SimTime::from_secs(1), SimTime::from_secs(2));
+    run(drive(77, faults));
 }
 
 #[test]

@@ -55,78 +55,55 @@ impl Backhaul {
     }
 
     /// Samples the transit delay for a message of `len_bytes`, or `None` if
-    /// the message is lost.
+    /// the message is lost: [`Backhaul::transit_faulty`] with no
+    /// impairment.
     pub fn transit(&mut self, len_bytes: usize) -> Option<SimDuration> {
-        self.transit_impaired(len_bytes, 0.0, SimDuration::ZERO, SimDuration::ZERO)
+        self.transit_faulty(len_bytes, &BackhaulImpairment::default())
+            .primary
     }
 
-    /// Like [`Backhaul::transit`] but with fault-injection impairments
-    /// layered on: `extra_loss` composes independently with the base loss
-    /// probability, `extra_latency` adds a fixed delay, and
+    /// One backhaul transit with fault-injection impairments layered on
+    /// the healthy model: `extra_loss_prob` composes independently with the
+    /// base loss probability, `extra_latency` adds a fixed delay,
     /// `extra_jitter_mean` (when nonzero) adds an extra exponential jitter
-    /// draw. With all three at their zero values the RNG draw sequence is
-    /// identical to the healthy model, so fault-capable runs with an empty
-    /// schedule stay bit-for-bit reproducible against fault-free ones.
-    pub fn transit_impaired(
-        &mut self,
-        len_bytes: usize,
-        extra_loss: f64,
-        extra_latency: SimDuration,
-        extra_jitter_mean: SimDuration,
-    ) -> Option<SimDuration> {
-        // The healthy path must use `loss_prob` verbatim: recomputing it
-        // through `1 - (1-p)(1-0)` perturbs the low bits and could flip a
-        // knife-edge Bernoulli draw.
-        let loss = if extra_loss > 0.0 {
-            1.0 - (1.0 - self.loss_prob) * (1.0 - extra_loss.clamp(0.0, 1.0))
-        } else {
-            self.loss_prob
-        };
-        if self.rng.chance(loss) {
-            return None;
-        }
-        let wire = SimDuration::for_bits(len_bytes as u64 * 8, self.rate_bps);
-        let jitter =
-            SimDuration::from_secs_f64(self.rng.exponential(self.jitter_mean.as_secs_f64()));
-        let extra_jitter = if extra_jitter_mean > SimDuration::ZERO {
-            SimDuration::from_secs_f64(self.rng.exponential(extra_jitter_mean.as_secs_f64()))
-        } else {
-            SimDuration::ZERO
-        };
-        Some(self.base_delay + wire + jitter + extra_latency + extra_jitter)
-    }
-
-    /// Full fault-injection transit: loss / latency / jitter as in
-    /// [`Backhaul::transit_impaired`], plus duplication (the same frame
-    /// delivered twice, the copy trailing by one extra jitter sample) and
-    /// reordering (the frame held back by a uniform draw from
-    /// `(0, reorder_window]`, so later frames can overtake it).
+    /// draw, duplication delivers the frame twice (the copy trailing by one
+    /// extra jitter sample) and reordering holds the frame back by a
+    /// uniform draw from `(0, reorder_window]`, so later frames can
+    /// overtake it.
     ///
-    /// RNG draw discipline keeps runs reproducible: the loss/jitter draws
-    /// match `transit_impaired` exactly, then the dup draws happen iff
-    /// `dup_prob > 0` and the frame was delivered, then the reorder draws
-    /// iff `reorder_prob > 0` and the frame was delivered. A no-op
-    /// impairment therefore consumes the same draw sequence as
-    /// [`Backhaul::transit`].
+    /// RNG draw discipline keeps runs reproducible: the loss and jitter
+    /// draws come first, then the extra-jitter draw iff
+    /// `extra_jitter_mean > 0`, then the dup draws iff `dup_prob > 0` and
+    /// the frame was delivered, then the reorder draws iff
+    /// `reorder_prob > 0` and the frame was delivered. A no-op impairment therefore consumes exactly
+    /// the healthy model's draws, so fault-capable runs with an empty
+    /// schedule stay bit-for-bit reproducible against fault-free ones.
     pub fn transit_faulty(
         &mut self,
         len_bytes: usize,
         imp: &BackhaulImpairment,
     ) -> BackhaulDelivery {
-        let primary = self.transit_impaired(
-            len_bytes,
-            imp.extra_loss_prob,
-            imp.extra_latency,
-            imp.extra_jitter_mean,
-        );
-        let mut out = BackhaulDelivery {
-            primary,
-            duplicate: None,
-            reordered: false,
+        let mut out = BackhaulDelivery::default();
+        // The healthy path must use `loss_prob` verbatim: recomputing it
+        // through `1 - (1-p)(1-0)` perturbs the low bits and could flip a
+        // knife-edge Bernoulli draw.
+        let loss = if imp.extra_loss_prob > 0.0 {
+            1.0 - (1.0 - self.loss_prob) * (1.0 - imp.extra_loss_prob.clamp(0.0, 1.0))
+        } else {
+            self.loss_prob
         };
-        let Some(mut delay) = primary else {
+        if self.rng.chance(loss) {
             return out; // lost before any duplication point
+        }
+        let wire = SimDuration::for_bits(len_bytes as u64 * 8, self.rate_bps);
+        let jitter =
+            SimDuration::from_secs_f64(self.rng.exponential(self.jitter_mean.as_secs_f64()));
+        let extra_jitter = if imp.extra_jitter_mean > SimDuration::ZERO {
+            SimDuration::from_secs_f64(self.rng.exponential(imp.extra_jitter_mean.as_secs_f64()))
+        } else {
+            SimDuration::ZERO
         };
+        let mut delay = self.base_delay + wire + jitter + imp.extra_latency + extra_jitter;
         if imp.dup_prob > 0.0 && self.rng.chance(imp.dup_prob) {
             let trail =
                 SimDuration::from_secs_f64(self.rng.exponential(self.jitter_mean.as_secs_f64()));
@@ -141,23 +118,6 @@ impl Backhaul {
         }
         out.primary = Some(delay);
         out
-    }
-
-    /// Samples a transit delay, treating loss as "never arrives" is not an
-    /// option for the caller — convenience for reliable contexts (e.g. TCP
-    /// over the wired segment where losses are negligible).
-    ///
-    /// Panics if `loss_prob >= 1.0`, where a delay can never be drawn.
-    pub fn transit_reliable(&mut self, len_bytes: usize) -> SimDuration {
-        assert!(
-            self.loss_prob < 1.0,
-            "transit_reliable cannot terminate with loss_prob >= 1.0"
-        );
-        loop {
-            if let Some(d) = self.transit(len_bytes) {
-                return d;
-            }
-        }
     }
 }
 
@@ -209,44 +169,18 @@ mod tests {
     }
 
     #[test]
-    fn reliable_never_loses() {
-        let mut b = bh(5);
-        b.loss_prob = 0.9;
-        for _ in 0..50 {
-            let _ = b.transit_reliable(100); // must terminate
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn reliable_rejects_total_loss() {
-        let mut b = bh(5);
-        b.loss_prob = 1.0;
-        let _ = b.transit_reliable(100);
-    }
-
-    #[test]
-    fn impaired_zero_is_identical_to_healthy() {
-        let mut a = bh(7);
-        let mut b = bh(7);
-        a.loss_prob = 0.1;
-        b.loss_prob = 0.1;
-        for _ in 0..500 {
-            assert_eq!(
-                a.transit(300),
-                b.transit_impaired(300, 0.0, SimDuration::ZERO, SimDuration::ZERO)
-            );
-        }
-    }
-
-    #[test]
     fn impairments_add_loss_and_latency() {
         let mut b = bh(8);
         b.loss_prob = 0.1;
         let extra_lat = SimDuration::from_millis(5);
         let mut lost = 0usize;
+        let imp = BackhaulImpairment {
+            extra_loss_prob: 0.5,
+            extra_latency: extra_lat,
+            ..BackhaulImpairment::default()
+        };
         for _ in 0..2000 {
-            match b.transit_impaired(100, 0.5, extra_lat, SimDuration::ZERO) {
+            match b.transit_faulty(100, &imp).primary {
                 None => lost += 1,
                 Some(d) => assert!(d >= extra_lat + b.base_delay),
             }
@@ -257,16 +191,27 @@ mod tests {
     }
 
     #[test]
-    fn faulty_noop_is_identical_to_healthy() {
-        let mut a = bh(9);
+    fn noop_impairment_draws_exactly_the_healthy_model() {
+        // The healthy model, written out: one loss draw, then one jitter
+        // draw for a delivered frame. A no-op impairment must consume the
+        // same draws and produce the same delays.
         let mut b = bh(9);
-        a.loss_prob = 0.1;
         b.loss_prob = 0.1;
+        let mut rng = SimRng::new(9);
         let noop = BackhaulImpairment::default();
-        assert!(noop.is_noop());
         for _ in 0..500 {
+            let want = if rng.chance(0.1) {
+                None
+            } else {
+                let jitter = rng.exponential(b.jitter_mean.as_secs_f64());
+                Some(
+                    b.base_delay
+                        + SimDuration::for_bits(300 * 8, b.rate_bps)
+                        + SimDuration::from_secs_f64(jitter),
+                )
+            };
             let d = b.transit_faulty(300, &noop);
-            assert_eq!(a.transit(300), d.primary);
+            assert_eq!(d.primary, want);
             assert_eq!(d.duplicate, None);
             assert!(!d.reordered);
         }

@@ -163,17 +163,6 @@ pub struct BackhaulImpairment {
     pub reorder_window: SimDuration,
 }
 
-impl BackhaulImpairment {
-    /// Whether this impairment changes anything at all.
-    pub fn is_noop(&self) -> bool {
-        self.extra_loss_prob <= 0.0
-            && self.extra_latency == SimDuration::ZERO
-            && self.extra_jitter_mean == SimDuration::ZERO
-            && self.dup_prob <= 0.0
-            && self.reorder_prob <= 0.0
-    }
-}
-
 /// A crash or reboot edge, for priming simulator events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEdge {
@@ -578,6 +567,22 @@ impl FaultSchedule {
         1.0 - keep
     }
 
+    /// Checks that every AP the schedule names (outages and partitions)
+    /// exists in a deployment of `n_aps` APs, so a bad index is reported
+    /// before the run starts instead of panicking when its window opens.
+    pub fn check_aps(&self, n_aps: usize) -> Result<(), String> {
+        let named = self.ap_outages.iter().map(|o| o.ap);
+        match named
+            .chain(self.partitions.iter().map(|p| p.ap))
+            .find(|&ap| ap >= n_aps)
+        {
+            Some(ap) => Err(format!(
+                "fault schedule names AP {ap}, but the deployment has {n_aps} APs"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// All crash/reboot edges in time order, for scheduling simulator
     /// events. Ties break crash-before-reboot, then by AP index with the
     /// controller ordered after every AP, so event priming is
@@ -663,7 +668,7 @@ mod tests {
         assert!(s.is_empty());
         assert!(!s.ap_down(0, t(100)));
         assert!(!s.partitioned(3, t(100)));
-        assert!(s.backhaul_at(t(100)).is_noop());
+        assert_eq!(s.backhaul_at(t(100)), BackhaulImpairment::default());
         assert_eq!(s.csi_drop_prob(t(100)), 0.0);
         assert!(s.edges().is_empty());
     }
@@ -720,7 +725,7 @@ mod tests {
         let overlap = s.backhaul_at(t(700));
         assert!((overlap.extra_loss_prob - 0.75).abs() < 1e-12);
         assert_eq!(overlap.extra_latency, SimDuration::from_millis(3));
-        assert!(s.backhaul_at(t(2000)).is_noop());
+        assert_eq!(s.backhaul_at(t(2000)), BackhaulImpairment::default());
     }
 
     #[test]
@@ -745,19 +750,19 @@ mod tests {
         assert!((early.dup_prob - 0.5).abs() < 1e-12);
         assert!((early.reorder_prob - 0.36).abs() < 1e-12);
         assert_eq!(early.reorder_window, SimDuration::from_millis(3));
-        assert!(!early.is_noop());
+        assert_ne!(early, BackhaulImpairment::default());
         let overlap = s.backhaul_at(t(700));
         assert!((overlap.dup_prob - 0.75).abs() < 1e-12);
         let late = s.backhaul_at(t(1700));
         assert_eq!(late.dup_prob, 0.0);
         assert!((late.reorder_prob - 0.2).abs() < 1e-12);
-        assert!(s.backhaul_at(t(3000)).is_noop());
+        assert_eq!(s.backhaul_at(t(3000)), BackhaulImpairment::default());
     }
 
     #[test]
     fn dup_only_impairment_is_not_noop() {
         let s = FaultSchedule::new().with_duplication(t(0), t(100), 0.1);
-        assert!(!s.backhaul_at(t(50)).is_noop());
+        assert_ne!(s.backhaul_at(t(50)), BackhaulImpairment::default());
         // Loss / latency / jitter stay at their healthy values.
         let imp = s.backhaul_at(t(50));
         assert_eq!(imp.extra_loss_prob, 0.0);
@@ -961,7 +966,7 @@ mod tests {
         assert_eq!(s.migration_dup_prob(t(900)), 0.0);
         // Seam windows never leak into the AP/controller fault queries:
         // the backhaul, AP, and controller timelines all stay healthy.
-        assert!(s.backhaul_at(t(700)).is_noop());
+        assert_eq!(s.backhaul_at(t(700)), BackhaulImpairment::default());
         assert!(!s.ap_down(0, t(700)));
         assert!(!s.controller_down(t(700)));
         assert!(s.edges().is_empty());

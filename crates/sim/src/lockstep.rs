@@ -1,11 +1,11 @@
-//! Deterministic intra-run parallelism: spatially sharded worlds advancing
-//! in time-lockstep epochs.
+//! Deterministic parallelism: the one worker pool, and spatially sharded
+//! worlds advancing in time-lockstep epochs on it.
 //!
-//! [`crate::engine`] keeps each world single-threaded; `wgtt_bench::par`
-//! fans independent *runs* across threads. This module adds the missing
-//! middle layer: one run whose world is partitioned into independent
-//! shards that advance **in parallel between synchronization points** —
-//! the coordinator/lockstep radio-emulation design (each radio
+//! [`crate::engine`] keeps each world single-threaded. [`map_with_threads`]
+//! is the workspace's only worker pool: `wgtt_bench::par` fans independent
+//! *runs* across it, and [`drive`] runs one world partitioned into
+//! independent shards that advance **in parallel between synchronization
+//! points** — the coordinator/lockstep radio-emulation design (each radio
 //! neighborhood owns its own event clock; a coordinator only lets a shard
 //! run ahead while nothing outside it could affect it).
 //!
@@ -26,9 +26,10 @@
 //!    cross-shard effect to the barrier never delivers it later than the
 //!    modeled latency would.
 //!
-//! The worker pool reuses the `wgtt_bench::par` job-claiming idiom:
-//! workers pull the next unclaimed shard index from a shared atomic
-//! counter inside a `std::thread::scope` — no external dependencies.
+//! The pool's workers pull the next unclaimed job index from a shared
+//! atomic counter inside a `std::thread::scope` — no external
+//! dependencies. Each result lands in the slot of its input index, so
+//! output order never depends on thread count or scheduling.
 
 use crate::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -65,7 +66,7 @@ pub trait LockstepShard: Send {
 /// horizon)` runs serially to exchange cross-shard state (mailbox
 /// application, boundary migration); it also runs once at `end`.
 ///
-/// `workers <= 1` is the serial reference path: a plain loop over shards
+/// `workers <= 1` takes the pool's serial path: a plain loop over shards
 /// in index order with no threads, locks, or atomics — byte-identical
 /// output is the contract, identical machine code is the proof that the
 /// 1-worker configuration can never diverge from it.
@@ -87,42 +88,75 @@ pub fn drive<S, F>(
     let mut now = start;
     while now < end {
         let horizon = (now + epoch).min(end);
-        if workers <= 1 || shards.len() <= 1 {
-            for shard in shards.iter_mut() {
-                shard.advance_to(horizon);
-            }
-        } else {
-            advance_parallel(shards, workers, horizon);
-        }
+        // The scope join inside the pool is the epoch barrier: no shard of
+        // epoch k+1 can start before every shard finished epoch k.
+        map_with_threads(workers, shards.iter_mut().collect(), |shard, _| {
+            shard.advance_to(horizon)
+        });
         at_barrier(shards, horizon);
         now = horizon;
     }
 }
 
-/// One epoch's parallel advance: workers claim shard indices from a
-/// shared counter and run each claimed shard to the horizon. The scope
-/// join is the epoch barrier — no shard of epoch *k+1* can start before
-/// every shard finished epoch *k*.
-fn advance_parallel<S: LockstepShard>(shards: &mut [S], workers: usize, horizon: SimTime) {
-    let n = shards.len();
-    let jobs: Vec<Mutex<&mut S>> = shards.iter_mut().map(Mutex::new).collect();
+/// Fans `items` out across `threads` workers, collecting `f(item, index)`
+/// results in input order.
+///
+/// Workers pull the next unclaimed input index from a shared atomic
+/// counter; each result lands in the output slot of its input index, so the
+/// returned `Vec` is ordered by input regardless of which worker finished
+/// first. A panicking job propagates out of the scope join and fails the
+/// caller, like the serial loop would.
+pub fn map_with_threads<I, O, F>(threads: usize, items: Vec<I>, f: F) -> Vec<O>
+where
+    I: Send,
+    O: Send,
+    F: Fn(I, usize) -> O + Sync,
+{
+    let n = items.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    if threads <= 1 || n == 1 {
+        // Inline serial path: identical code to a plain loop, so a
+        // 1-worker fan-out is trivially bit-identical to the serial engine.
+        return items
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| f(x, i))
+            .collect();
+    }
+    let jobs: Vec<Mutex<Option<I>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
+    let slots: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
+        let f = &f;
         let jobs = &jobs;
+        let slots = &slots;
         let next = &next;
-        for _ in 0..workers.min(n) {
+        for _ in 0..threads.min(n) {
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
-                jobs[i]
+                let item = jobs[i]
                     .lock()
-                    .expect("shard slot poisoned")
-                    .advance_to(horizon);
+                    .expect("job slot poisoned")
+                    .take()
+                    .expect("job claimed twice");
+                let out = f(item, i);
+                *slots[i].lock().expect("result slot poisoned") = Some(out);
             });
         }
     });
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("result slot poisoned")
+                .expect("worker skipped a job")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -236,6 +270,34 @@ mod tests {
         std::env::set_var(WORKERS_ENV, "0");
         assert_eq!(worker_count(8), 1, "invalid values fall back to serial");
         std::env::remove_var(WORKERS_ENV);
+    }
+
+    #[test]
+    fn results_are_input_ordered_at_any_width() {
+        let items: Vec<u64> = (0..37).collect();
+        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
+        for threads in [1, 2, 3, 8, 64] {
+            let got = map_with_threads(threads, items.clone(), |x, _| x * x);
+            assert_eq!(got, expect, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn index_matches_input_position() {
+        let items = vec!["a", "b", "c", "d"];
+        let got = map_with_threads(4, items, |s, i| format!("{i}:{s}"));
+        assert_eq!(got, vec!["0:a", "1:b", "2:c", "3:d"]);
+    }
+
+    #[test]
+    fn worker_panic_propagates() {
+        let r = std::panic::catch_unwind(|| {
+            map_with_threads(2, vec![0u32, 1, 2, 3], |x, _| {
+                assert!(x != 2, "boom");
+                x
+            })
+        });
+        assert!(r.is_err());
     }
 
     #[test]
