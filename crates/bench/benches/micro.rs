@@ -7,7 +7,7 @@ use std::hint::black_box;
 use wgtt_core::cyclic::CyclicQueue;
 use wgtt_core::dedup::Deduplicator;
 use wgtt_core::{FlowSpec, Scenario, SystemConfig};
-use wgtt_net::{ClientId, Direction, FlowId, PacketFactory, Payload};
+use wgtt_net::{ClientId, FlowId, PacketFactory, Payload};
 use wgtt_phy::{controller_esnr_db, DeploymentConfig, LinkConfig, Position, WirelessLink};
 use wgtt_sim::{EventQueue, SimRng, SimTime};
 
@@ -57,7 +57,6 @@ fn bench_structures(c: &mut Criterion) {
                 let mut p = factory.make(
                     ClientId(0),
                     FlowId(0),
-                    Direction::Downlink,
                     1500,
                     SimTime::ZERO,
                     Payload::Udp { seq: i as u64 },

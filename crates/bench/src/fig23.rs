@@ -67,7 +67,7 @@ pub fn run_experiment(mph: f64, seed: u64) -> DensityPoint {
     );
     let mut sim = wgtt_sim::Simulator::new(world);
     prime_events(&mut sim);
-    sim.run_until(wgtt_sim::SimTime::ZERO + duration + SimDuration::from_millis(500));
+    sim.run_until(wgtt_sim::SimTime::ZERO + duration + wgtt_core::runner::SETTLE);
     let world = sim.into_world();
 
     // Split the throughput series by which segment the client was in.

@@ -80,9 +80,6 @@ pub struct ApClientState {
     pub last_csi_report: Option<SimTime>,
     /// Block ACKs already applied (dedup for the forwarding path).
     pub seen_bas: HashSet<(u16, u64)>,
-    /// Monitor interface enabled (overhears the client even when not
-    /// serving — WGTT's BA forwarding source).
-    pub monitor: bool,
     /// Switch-epoch admission guard: rejects stale `stop`/`start`
     /// generations and suppresses duplicate `start` re-application.
     /// Wiped with the rest of the soft state on a crash.
@@ -103,7 +100,6 @@ impl ApClientState {
             nic_queue: VecDeque::new(),
             last_csi_report: None,
             seen_bas: HashSet::new(),
-            monitor: true,
             guard: ApSwitchGuard::default(),
         }
     }
@@ -184,8 +180,6 @@ pub struct ApState {
     pub backoff: Backoff,
     /// Round-robin cursor over clients.
     pub rr_cursor: usize,
-    /// Monotone transmission id source (collision bookkeeping).
-    pub next_tx_id: u64,
     /// Degraded mode: uplink held for the controller while it is down
     /// (bounded by [`DEGRADED_UPLINK_CAP`]), flushed after resync.
     pub uplink_buffer: VecDeque<Packet>,
@@ -208,7 +202,6 @@ impl ApState {
             clients: Vec::new(),
             backoff: Backoff::default(),
             rr_cursor: 0,
-            next_tx_id: 0,
             uplink_buffer: VecDeque::new(),
             recent_uplink_keys: VecDeque::new(),
             term_guard: TermGuard::default(),
@@ -317,25 +310,17 @@ impl ApState {
             .nth(k)
             .map(|(i, _)| ClientId(i as u32))
     }
-
-    /// Allocates a transmission id.
-    pub fn alloc_tx_id(&mut self) -> u64 {
-        let id = self.next_tx_id;
-        self.next_tx_id += 1;
-        id
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wgtt_net::{Direction, FlowId, PacketFactory, Payload};
+    use wgtt_net::{FlowId, PacketFactory, Payload};
 
     fn pkt(f: &mut PacketFactory, idx: u16) -> Packet {
         let mut p = f.make(
             ClientId(0),
             FlowId(0),
-            Direction::Downlink,
             1500,
             SimTime::ZERO,
             Payload::Udp { seq: idx as u64 },
@@ -432,14 +417,7 @@ mod tests {
         for c in 0..3u32 {
             let st = ap.client_mut(ClientId(c), GuardInterval::Short);
             st.serving = true;
-            let mut p = f0.make(
-                ClientId(c),
-                FlowId(0),
-                Direction::Downlink,
-                1500,
-                SimTime::ZERO,
-                Payload::Raw,
-            );
+            let mut p = f0.make(ClientId(c), FlowId(0), 1500, SimTime::ZERO, Payload::Raw);
             p.index = Some(0);
             st.cyclic.insert(p);
         }
@@ -449,14 +427,6 @@ mod tests {
         let distinct: std::collections::HashSet<_> = picks.iter().collect();
         assert_eq!(distinct.len(), 3);
         assert!(ap.has_work());
-    }
-
-    #[test]
-    fn tx_ids_unique() {
-        let mut ap = ApState::new(ApId(1));
-        let a = ap.alloc_tx_id();
-        let b = ap.alloc_tx_id();
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -193,7 +193,7 @@ impl std::fmt::Debug for ClientState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wgtt_net::{Direction, PacketFactory, Payload};
+    use wgtt_net::{PacketFactory, Payload};
     use wgtt_phy::Stationary;
 
     fn client() -> ClientState {
@@ -214,14 +214,7 @@ mod tests {
         c.next_ul_seq = 0x0FFE;
         let mut f = PacketFactory::new();
         for _ in 0..4 {
-            let p = f.make(
-                ClientId(0),
-                FlowId(0),
-                Direction::Uplink,
-                100,
-                SimTime::ZERO,
-                Payload::Raw,
-            );
+            let p = f.make(ClientId(0), FlowId(0), 100, SimTime::ZERO, Payload::Raw);
             c.enqueue_uplink(p);
         }
         let seqs: Vec<u16> = c.uplink_queue.iter().map(|e| e.seq).collect();

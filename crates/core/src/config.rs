@@ -93,7 +93,7 @@ impl MigrationConfig {
         if self.retry_timeout <= SimDuration::ZERO {
             return Err("migration retry_timeout must be positive".into());
         }
-        if !(self.backoff >= 1.0) {
+        if self.backoff.is_nan() || self.backoff < 1.0 {
             return Err("migration backoff must be >= 1.0".into());
         }
         if self.max_attempts == 0 {
@@ -253,17 +253,23 @@ mod tests {
 
     #[test]
     fn migration_config_rejects_degenerate_policies() {
-        let mut m = MigrationConfig::default();
-        m.retry_timeout = SimDuration::ZERO;
+        let d = MigrationConfig::default();
+        let m = MigrationConfig {
+            retry_timeout: SimDuration::ZERO,
+            ..d
+        };
         assert!(m.validate().unwrap_err().contains("retry_timeout"));
-        let mut m = MigrationConfig::default();
-        m.backoff = 0.5;
+        let m = MigrationConfig { backoff: 0.5, ..d };
         assert!(m.validate().unwrap_err().contains("backoff"));
-        let mut m = MigrationConfig::default();
-        m.backoff = f64::NAN;
+        let m = MigrationConfig {
+            backoff: f64::NAN,
+            ..d
+        };
         assert!(m.validate().is_err(), "NaN backoff must be rejected");
-        let mut m = MigrationConfig::default();
-        m.max_attempts = 0;
+        let m = MigrationConfig {
+            max_attempts: 0,
+            ..d
+        };
         assert!(m.validate().unwrap_err().contains("max_attempts"));
     }
 }

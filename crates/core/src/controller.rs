@@ -9,7 +9,7 @@
 
 use crate::cyclic::IndexAllocator;
 use crate::dedup::Deduplicator;
-use crate::health::{ApHealth, HealthConfig};
+use crate::health::ApHealth;
 use crate::replica::{ClientJournalState, PendingJournalState};
 use crate::selection::{ApSelector, SelectionConfig};
 use crate::switching::{AckOutcome, ClientResyncState, ResyncReply, SwitchEngine};
@@ -83,7 +83,7 @@ impl ControllerState {
             serving: HashMap::new(),
             engine: SwitchEngine::new(),
             dedup: Deduplicator::default(),
-            health: ApHealth::new(HealthConfig::default()),
+            health: ApHealth::new(),
         }
     }
 
@@ -151,7 +151,7 @@ impl ControllerState {
         self.engine = SwitchEngine::new();
         self.engine.set_term(term);
         self.dedup = Deduplicator::default();
-        self.health = ApHealth::new(HealthConfig::default());
+        self.health = ApHealth::new();
     }
 
     /// Rebuilds the controller's state from the APs' resync replies (the
@@ -765,8 +765,7 @@ mod tests {
                 }
                 let epoch_max = rng.range(0..10u32);
                 let n = rng.range(0..16usize);
-                let idents: Vec<u16> =
-                    (0..n).map(|_| rng.range(0..64u32) as u16).collect();
+                let idents: Vec<u16> = (0..n).map(|_| rng.range(0..64u32) as u16).collect();
                 (c, migrant, epoch_max, idents)
             };
             let (mut once, migrant, epoch_max, idents) = build();

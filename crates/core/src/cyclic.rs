@@ -300,14 +300,13 @@ impl CyclicQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wgtt_net::{ClientId, Direction, FlowId, PacketFactory, Payload};
+    use wgtt_net::{ClientId, FlowId, PacketFactory, Payload};
     use wgtt_sim::SimTime;
 
     fn pkt(factory: &mut PacketFactory, index: u16) -> Packet {
         let mut p = factory.make(
             ClientId(0),
             FlowId(0),
-            Direction::Downlink,
             1500,
             SimTime::ZERO,
             Payload::Udp { seq: index as u64 },
@@ -548,14 +547,7 @@ mod tests {
     fn insert_without_index_panics() {
         let mut f = PacketFactory::new();
         let mut q = CyclicQueue::new();
-        let p = f.make(
-            ClientId(0),
-            FlowId(0),
-            Direction::Downlink,
-            100,
-            SimTime::ZERO,
-            Payload::Raw,
-        );
+        let p = f.make(ClientId(0), FlowId(0), 100, SimTime::ZERO, Payload::Raw);
         q.insert(p);
     }
 }

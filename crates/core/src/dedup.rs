@@ -137,14 +137,13 @@ impl Default for Deduplicator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wgtt_net::{Direction, FlowId, PacketFactory, Payload};
+    use wgtt_net::{FlowId, PacketFactory, Payload};
     use wgtt_sim::SimTime;
 
     fn uplink(f: &mut PacketFactory, client: u32) -> Packet {
         f.make(
             ClientId(client),
             FlowId(0),
-            Direction::Uplink,
             200,
             SimTime::ZERO,
             Payload::Udp { seq: 0 },

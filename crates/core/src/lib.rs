@@ -50,7 +50,7 @@ pub mod switching;
 pub mod world;
 
 pub use config::{BaselineConfig, Mode, SystemConfig};
-pub use health::{ApHealth, HealthConfig};
+pub use health::ApHealth;
 pub use runner::{run, ClientSpec, FlowSpec, RunResult, Scenario, TrajectorySpec};
 pub use selection::{ApSelector, SelectionConfig, WindowEstimator};
 pub use shard::{run_sharded, Migration, ShardedRunResult, ShardedScenario};

@@ -49,10 +49,10 @@
 //! [`CheckerConfig::max_migrations`] adds the inter-controller handoff
 //! slice — modelled as the *two-phase* protocol the sharded runner ships:
 //! [`Choice::MigrateExport`] retires the client at a lockstep barrier and
-//! puts an idempotent, term-stamped [`NetMsg::MigPrepare`] on the wire
+//! puts an idempotent, term-stamped `NetMsg::MigPrepare` on the wire
 //! (switch-epoch high-water, recently delivered uplink dedup keys,
 //! undelivered downlink residue); delivering it admits the client at the
-//! destination and answers with a [`NetMsg::MigCommit`] that releases the
+//! destination and answers with a `NetMsg::MigCommit` that releases the
 //! source's retained record. Seam frames are lossy like everything else:
 //! [`Choice::DropMigration`] / [`Choice::DupMigration`] spend their own
 //! budgets, [`Choice::MigrateRetry`] re-sends the pending prepare
@@ -1244,8 +1244,7 @@ impl State {
         // (re-export owed). Quiescing dual-active with neither is the
         // split the retained record exists to prevent; only the
         // no-retention shim can get here.
-        let armed =
-            cfg.migration_retention && (self.mig_pending.is_some() || self.mig_aborted);
+        let armed = cfg.migration_retention && (self.mig_pending.is_some() || self.mig_aborted);
         if self.dest_active && self.source_active && !armed {
             return Err(ViolationKind::SplitMigration);
         }

@@ -13,6 +13,11 @@ use wgtt_phy::mobility::{ConstantSpeed, Stationary};
 use wgtt_phy::Trajectory;
 use wgtt_sim::{FaultSchedule, SimDuration, SimTime, Simulator};
 
+/// How long every runner keeps simulating after traffic stops, so packets
+/// still in flight settle. The world's periodic ticks stop re-arming at
+/// the same point, `traffic_until + SETTLE`.
+pub const SETTLE: SimDuration = SimDuration::from_millis(500);
+
 /// How one client moves.
 #[derive(Debug, Clone)]
 pub enum TrajectorySpec {
@@ -235,13 +240,11 @@ pub fn run(scenario: Scenario) -> RunResult {
     }
     let mut sim = Simulator::new(world);
     prime_events(&mut sim);
-    // Run past the traffic end so in-flight packets settle.
-    let settle = SimDuration::from_millis(500);
-    sim.run_until(traffic_until + settle);
+    sim.run_until(traffic_until + SETTLE);
     let events = sim.events_processed();
     let perf = crate::metrics::RunPerf::from_engine(
         sim.perf(),
-        (scenario.duration + settle).as_secs_f64(),
+        (scenario.duration + SETTLE).as_secs_f64(),
     );
     RunResult {
         world: sim.into_world(),

@@ -44,10 +44,9 @@
 //! Inter-controller handoff rides the same backhaul the fault schedules
 //! impair, so the transfer is a two-phase protocol rather than a function
 //! call. The source retires the client, sends an idempotent, term-stamped
-//! [`SeamMsg::Prepare`], and *retains* the full record until the
-//! destination's [`SeamMsg::Commit`] lands; un-acked prepares re-send on
-//! a deterministic exponential backoff
-//! ([`MigrationConfig`](crate::config::MigrationConfig)), and when the
+//! `SeamMsg::Prepare`, and *retains* the full record until the
+//! destination's `SeamMsg::Commit` lands; un-acked prepares re-send on
+//! a deterministic exponential backoff ([`MigrationConfig`]), and when the
 //! destination stays unreachable past the retry budget the source aborts
 //! and readopts the client — it re-exports at its next boundary pass, so
 //! a sustained seam outage degrades to *late* handoffs, never lost ones.
@@ -61,6 +60,7 @@
 
 use crate::config::{MigrationConfig, SystemConfig};
 use crate::metrics::SystemMetrics;
+use crate::runner::SETTLE;
 use crate::world::{
     prime_events, prime_migrant_events, Ev, MigrantFlow, MigrantSpec, MigrationRecord, SeamEntry,
     WgttWorld,
@@ -297,6 +297,23 @@ struct PendingMig {
     trailing: Vec<SeamEntry>,
 }
 
+impl PendingMig {
+    /// The prepare frame for this handoff, stamped with the source's
+    /// current `term`.
+    fn prepare(&self, seq: u64, term: u32) -> SeamMsg {
+        SeamMsg::Prepare {
+            seq,
+            from: self.from,
+            to: self.to,
+            src_client: self.src_client,
+            term,
+            exported_at: self.exported_at,
+            spec: self.spec.clone(),
+            record: self.record.clone(),
+        }
+    }
+}
+
 /// An un-acked residue forward.
 struct PendingFwd {
     src: usize,
@@ -374,50 +391,14 @@ impl SeamState {
         self.inflight.push(SeamFrame { sent_at: now, msg });
     }
 
-    /// Exports a retired client: sends the prepare and retains the record
-    /// until the destination commits.
-    fn export(
-        &mut self,
-        shards: &[Shard],
-        now: SimTime,
-        from: usize,
-        to: usize,
-        src_client: usize,
-        spec: MigrantSpec,
-        record: MigrationRecord,
-    ) {
+    /// Exports a retired client: sends the prepare for handoff `p` and
+    /// retains it until the destination commits.
+    fn export(&mut self, shards: &[Shard], p: PendingMig) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let term = shards[from].sim.world().ctrl.engine.term();
-        self.send(
-            shards,
-            from,
-            now,
-            SeamMsg::Prepare {
-                seq,
-                from,
-                to,
-                src_client,
-                term,
-                exported_at: now,
-                spec: spec.clone(),
-                record: record.clone(),
-            },
-        );
-        self.pending.insert(
-            seq,
-            PendingMig {
-                from,
-                to,
-                src_client,
-                spec,
-                record,
-                exported_at: now,
-                attempts: 1,
-                next_retry: now + self.mig.retry_delay(1),
-                trailing: Vec::new(),
-            },
-        );
+        let term = shards[p.from].sim.world().ctrl.engine.term();
+        self.send(shards, p.from, p.exported_at, p.prepare(seq, term));
+        self.pending.insert(seq, p);
     }
 
     /// Registers a residue forward and sends it (acked, retried).
@@ -476,7 +457,13 @@ impl SeamState {
         }
     }
 
-    fn deliver(&mut self, shards: &mut [Shard], route: &mut RouteTable, now: SimTime, msg: SeamMsg) {
+    fn deliver(
+        &mut self,
+        shards: &mut [Shard],
+        route: &mut RouteTable,
+        now: SimTime,
+        msg: SeamMsg,
+    ) {
         match msg {
             SeamMsg::Prepare {
                 seq,
@@ -501,7 +488,17 @@ impl SeamState {
                     // the duplicate and refresh the (possibly lost)
                     // commit.
                     shards[to].sim.world_mut().sys.migration_dups_dropped += 1;
-                    self.send(shards, to, now, SeamMsg::Commit { seq, from, to, local });
+                    self.send(
+                        shards,
+                        to,
+                        now,
+                        SeamMsg::Commit {
+                            seq,
+                            from,
+                            to,
+                            local,
+                        },
+                    );
                     return;
                 }
                 if let Some(&(_, local)) = self.admitted.get(&(from, src_client)) {
@@ -517,7 +514,17 @@ impl SeamState {
                             .schedule_at(now, Ev::MigrantFlush { client: local });
                     }
                     self.applied.insert(seq, local);
-                    self.send(shards, to, now, SeamMsg::Commit { seq, from, to, local });
+                    self.send(
+                        shards,
+                        to,
+                        now,
+                        SeamMsg::Commit {
+                            seq,
+                            from,
+                            to,
+                            local,
+                        },
+                    );
                     return;
                 }
                 let mut spec = spec;
@@ -532,7 +539,17 @@ impl SeamState {
                 prime_migrant_events(&mut shards[to].sim, local);
                 self.applied.insert(seq, local);
                 self.admitted.insert((from, src_client), (to, local));
-                self.send(shards, to, now, SeamMsg::Commit { seq, from, to, local });
+                self.send(
+                    shards,
+                    to,
+                    now,
+                    SeamMsg::Commit {
+                        seq,
+                        from,
+                        to,
+                        local,
+                    },
+                );
             }
             SeamMsg::Commit {
                 seq,
@@ -619,23 +636,16 @@ impl SeamState {
                 prime_migrant_events(&mut shards[p.from].sim, p.src_client);
             } else {
                 let (from, msg) = {
-                    let term = shards[self.pending[&seq].from].sim.world().ctrl.engine.term();
+                    let term = shards[self.pending[&seq].from]
+                        .sim
+                        .world()
+                        .ctrl
+                        .engine
+                        .term();
                     let p = self.pending.get_mut(&seq).unwrap();
                     p.attempts += 1;
                     p.next_retry = now + self.mig.retry_delay(p.attempts);
-                    (
-                        p.from,
-                        SeamMsg::Prepare {
-                            seq,
-                            from: p.from,
-                            to: p.to,
-                            src_client: p.src_client,
-                            term,
-                            exported_at: p.exported_at,
-                            spec: p.spec.clone(),
-                            record: p.record.clone(),
-                        },
-                    )
+                    (p.from, p.prepare(seq, term))
                 };
                 shards[from].sim.world_mut().sys.migration_retries += 1;
                 self.send(shards, from, now, msg);
@@ -837,10 +847,7 @@ pub fn run_sharded(scenario: &ShardedScenario, workers: usize) -> ShardedRunResu
         })
         .collect();
 
-    // Run past the traffic end so in-flight packets settle (same margin as
-    // the unsharded runner).
-    let settle = SimDuration::from_millis(500);
-    let end = traffic_until + settle;
+    let end = traffic_until + SETTLE;
     let mut migrations: Vec<Migration> = Vec::new();
     let n = scenario.shards;
     let ring = scenario.ring;
@@ -918,7 +925,21 @@ pub fn run_sharded(scenario: &ShardedScenario, workers: usize) -> ShardedRunResu
                             .world_mut()
                             .count_seam_loss(rec.residue.len() as u64, rec.residue_bytes());
                     } else {
-                        seam.export(shards, now, from, to, c, spec, rec);
+                        let next_retry = now + seam.mig.retry_delay(1);
+                        seam.export(
+                            shards,
+                            PendingMig {
+                                from,
+                                to,
+                                src_client: c,
+                                spec,
+                                record: rec,
+                                exported_at: now,
+                                attempts: 1,
+                                next_retry,
+                                trailing: Vec::new(),
+                            },
+                        );
                     }
                 }
                 migrations.push(Migration { at: now, from, to });

@@ -8,7 +8,7 @@
 //!
 //! ## Radio model
 //!
-//! Medium access is resolved in *contention rounds*: whenever the channel
+//! Channel access is resolved in *contention rounds*: whenever the channel
 //! goes idle and stations have pending frames, each draws a backoff from
 //! its contention window; the smallest draw transmits, ties collide. An AP
 //! transmission is an A-MPDU + SIFS + Block ACK exchange; a client
@@ -24,15 +24,16 @@ use crate::controller::{ControllerState, ResyncAction};
 use crate::dedup::Deduplicator;
 use crate::metrics::SystemMetrics;
 use crate::replica::{JournalBatch, Replica};
+use crate::runner::SETTLE;
 use crate::switching::{AckOutcome, ResyncReply, SwitchMsg, TermVerdict, CONTROL_PACKET_BYTES};
 use wgtt_mac::blockack::BlockAckFrame;
 use wgtt_mac::timing::{
     ampdu_airtime, block_ack_airtime, difs, frame_airtime, sifs, slot, MAX_AMPDU_BYTES,
 };
-use wgtt_mac::{AssocState, Medium, MgmtFrame};
+use wgtt_mac::{AssocState, MgmtFrame};
 use wgtt_net::{
-    overhead, ApId, Backhaul, CbrSource, ClientId, Direction, FlowId, Packet, PacketFactory,
-    Payload, TcpReceiver, TcpSender, UdpSink,
+    overhead, ApId, Backhaul, CbrSource, ClientId, FlowId, Packet, PacketFactory, Payload,
+    TcpReceiver, TcpSender, UdpSink,
 };
 use wgtt_phy::esnr::esnr_from_csi;
 use wgtt_phy::geom::Deployment;
@@ -138,7 +139,7 @@ pub enum Ev {
     TcpRtoCheck(usize),
     /// Downlink packet reaches the controller from the server.
     PacketAtController(Packet),
-    /// Tunneled downlink packet reaches an AP.
+    /// A downlink packet reaches an AP through the tunnel.
     PacketAtAp { ap: usize, packet: Packet },
     /// Uplink copy reaches the controller from an AP.
     UplinkCopyAtController { from_ap: usize, packet: Packet },
@@ -295,11 +296,9 @@ pub struct WgttWorld {
     pub ctrl: ControllerState,
     /// Application flows.
     pub flows: Vec<ServerFlow>,
-    /// Shared radio medium.
-    pub medium: Medium,
     /// Wired backhaul model.
     pub backhaul: Backhaul,
-    /// Packet id/ident factory.
+    /// Packet IP-ident factory.
     pub factory: PacketFactory,
     /// System-wide counters.
     pub sys: SystemMetrics,
@@ -478,7 +477,6 @@ impl WgttWorld {
             clients,
             ctrl,
             flows: Vec::new(),
-            medium: Medium::new(),
             backhaul: Backhaul::new(root.fork("backhaul")),
             factory: PacketFactory::new(),
             sys: SystemMetrics::default(),
@@ -519,17 +517,14 @@ impl WgttWorld {
     /// Registers a flow, returning its index.
     pub fn add_flow(&mut self, client: usize, kind: FlowKind) -> usize {
         let id = FlowId(self.flows.len() as u32);
-        let up_sink =
-            matches!(kind, FlowKind::UpUdp(_)).then(|| UdpSink::new(SimDuration::from_millis(100)));
+        let up_sink = matches!(kind, FlowKind::UpUdp(_)).then(UdpSink::new);
         // Make sure the client has matching endpoint state.
         match &kind {
             FlowKind::DownTcp(_) => {
                 self.clients[client].tcp_rx.insert(id, TcpReceiver::new());
             }
             FlowKind::DownUdp(_) => {
-                self.clients[client]
-                    .udp_sink
-                    .insert(id, UdpSink::new(SimDuration::from_millis(100)));
+                self.clients[client].udp_sink.insert(id, UdpSink::new());
             }
             FlowKind::UpUdp(_) => {}
         }

@@ -30,7 +30,7 @@ impl WgttWorld {
         let idx = self.ctrl.assign_index(packet.client);
         packet.index = Some(idx);
         self.sys.downlink_copies += targets.len() as u64;
-        let wire = packet.len_bytes + wgtt_net::TUNNEL_OVERHEAD_BYTES;
+        let wire = packet.len_bytes + overhead::TUNNEL;
         for ap in targets {
             let p = packet.clone();
             self.backhaul_send(ctx, wire, false, Ev::PacketAtAp { ap, packet: p });
@@ -180,7 +180,6 @@ impl WgttWorld {
                 let ack_pkt = self.factory.make(
                     ClientId(c as u32),
                     packet.flow,
-                    Direction::Uplink,
                     overhead::TCP + overhead::IPV4 + 12,
                     now,
                     Payload::TcpAck { ack, sack },

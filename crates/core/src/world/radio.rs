@@ -252,7 +252,6 @@ impl WgttWorld {
             }
             return;
         }
-        let mut latest_end = now;
         for &(node, draw, pos, _chan, collided) in granted.iter() {
             let grant = now + difs() + slot() * draw as u64;
             let started = match node {
@@ -262,11 +261,7 @@ impl WgttWorld {
             if let Some((tx_id, end)) = started {
                 // Tx ids are monotone: pushing keeps the registry id-sorted.
                 self.active_geo.push((tx_id, pos.0, pos.1, end, node));
-                latest_end = latest_end.max(end);
             }
-        }
-        if latest_end > now {
-            self.medium.occupy(now, latest_end - now);
         }
         self.ensure_round(ctx);
     }
@@ -817,7 +812,7 @@ impl WgttWorld {
                     self.aps[from_ap]
                         .note_forwarded_key(Deduplicator::key(pkt.client, pkt.ip_ident));
                 }
-                let wire = pkt.len_bytes + wgtt_net::TUNNEL_OVERHEAD_BYTES;
+                let wire = pkt.len_bytes + overhead::TUNNEL;
                 self.backhaul_send(
                     ctx,
                     wire,
@@ -988,4 +983,110 @@ fn retry_rate(mut mcs: Mcs, retries: u32) -> Mcs {
 /// Whether `seq` is still outstanding (un-acked) in the scoreboard.
 fn st_seq_outstanding(st: &crate::ap::ApClientState, seq: u16) -> bool {
     st.scoreboard.unacked().contains(&seq)
+}
+
+#[cfg(test)]
+mod aggregation_tests {
+    //! Aggregation limits of `start_ap_tx`, checked on the aggregate one
+    //! contention round actually puts on the air.
+
+    use super::*;
+    use crate::ap::NicEntry;
+    use wgtt_mac::BA_WINDOW;
+    use wgtt_phy::Stationary;
+    use wgtt_sim::Simulator;
+
+    /// Longest aggregate `start_ap_tx` builds.
+    const MAX_AIRTIME: SimDuration = SimDuration::from_millis(4);
+
+    /// A one-client world whose AP 0 drains `queue` — packets of `len` bytes,
+    /// more than one aggregate can carry — with `prefill` sequences already
+    /// registered in the scoreboard.
+    fn world(len: usize, queue: u16, prefill: u16) -> WgttWorld {
+        let cfg = SystemConfig::default();
+        let spot = cfg.deployment.build().aps[0].boresight_target;
+        let mut w = WgttWorld::new(
+            cfg,
+            vec![Box::new(Stationary { position: spot })],
+            7,
+            SimTime::from_secs(1),
+            false,
+        );
+        let gi = w.cfg.gi;
+        let st = w.aps[0].client_mut(ClientId(0), gi);
+        // Draining without the cyclic queue: the NIC queue is the only work.
+        st.draining = true;
+        for seq in 0..prefill {
+            st.scoreboard.register(seq);
+        }
+        for seq in prefill..prefill + queue {
+            let packet = w
+                .factory
+                .make(ClientId(0), FlowId(0), len, SimTime::ZERO, Payload::Raw);
+            w.aps[0]
+                .client_get_mut(ClientId(0))
+                .unwrap()
+                .nic_queue
+                .push_back(NicEntry {
+                    packet,
+                    seq,
+                    retries: 0,
+                    registered: false,
+                });
+        }
+        w
+    }
+
+    /// Runs one `Ev::ContentionRound` and returns the AP aggregate it
+    /// launched, as `(mpdu lengths on the air, mcs)`.
+    fn one_round(w: WgttWorld) -> Option<(Vec<usize>, Mcs)> {
+        let mut sim = Simulator::new(w);
+        sim.schedule_at(SimTime::ZERO, Ev::ContentionRound);
+        assert!(sim.step());
+        sim.world().in_flight.iter().find_map(|(_, tx)| match tx {
+            AirTx::ApAggregate { mpdus, mcs, .. } => Some((
+                mpdus
+                    .iter()
+                    .map(|(_, p, _)| p.len_bytes + overhead::DOT11)
+                    .collect(),
+                *mcs,
+            )),
+            AirTx::ClientBurst { .. } => None,
+        })
+    }
+
+    fn assert_within_limits(lens: &[usize], mcs: Mcs, gi: wgtt_phy::GuardInterval) {
+        assert!(!lens.is_empty());
+        assert!(lens.len() <= BA_WINDOW as usize, "{} MPDUs", lens.len());
+        if lens.len() > 1 {
+            assert!(lens.iter().sum::<usize>() <= MAX_AMPDU_BYTES);
+            let airtime = ampdu_airtime(lens, mcs, gi);
+            assert!(airtime <= MAX_AIRTIME, "{airtime} at {mcs:?}");
+        }
+    }
+
+    #[test]
+    fn small_frames_fill_at_most_the_window() {
+        let gi = SystemConfig::default().gi;
+        let (lens, mcs) = one_round(world(100, 3 * BA_WINDOW, 0)).expect("an aggregate");
+        assert_within_limits(&lens, mcs, gi);
+        // Short frames stay far under the airtime cap: the window binds.
+        assert_eq!(lens.len(), BA_WINDOW as usize);
+    }
+
+    #[test]
+    fn full_size_frames_respect_bytes_and_airtime() {
+        let gi = SystemConfig::default().gi;
+        let (lens, mcs) = one_round(world(1500, 3 * BA_WINDOW, 0)).expect("an aggregate");
+        assert_within_limits(&lens, mcs, gi);
+        // The aggregate is as long as the airtime cap allows.
+        let mut more = lens.clone();
+        more.push(lens[0]);
+        assert!(ampdu_airtime(&more, mcs, gi) > MAX_AIRTIME);
+    }
+
+    #[test]
+    fn full_scoreboard_blocks_an_unregistered_head() {
+        assert!(one_round(world(1500, 8, BA_WINDOW)).is_none());
+    }
 }

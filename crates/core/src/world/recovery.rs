@@ -210,7 +210,7 @@ impl WgttWorld {
         let held: Vec<Packet> = self.aps[ap].uplink_buffer.drain(..).collect();
         for packet in held {
             self.sys.degraded_uplink_flushed += 1;
-            let wire = packet.len_bytes + wgtt_net::TUNNEL_OVERHEAD_BYTES;
+            let wire = packet.len_bytes + overhead::TUNNEL;
             self.backhaul_send(
                 ctx,
                 wire,
@@ -340,7 +340,7 @@ impl WgttWorld {
     /// not absence of the timer, is what the standby detects.
     pub(super) fn on_journal_ship(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
-        if now < self.traffic_until + SimDuration::from_millis(500) {
+        if now < self.traffic_until + SETTLE {
             ctx.schedule_in(JOURNAL_INTERVAL, Ev::JournalShip);
         }
         if self.controller_down {
@@ -399,7 +399,7 @@ impl WgttWorld {
     /// replica to controller under a freshly bumped term.
     pub(super) fn on_standby_check(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
-        if now < self.traffic_until + SimDuration::from_millis(500) {
+        if now < self.traffic_until + SETTLE {
             ctx.schedule_in(STANDBY_CHECK_INTERVAL, Ev::StandbyCheck);
         }
         let Some(crashed_at) = self.primary_crashed_at else {

@@ -15,7 +15,7 @@ impl WgttWorld {
         if self.controller_down {
             // A dead controller makes no decisions. Keep the tick alive
             // (it draws no RNG) so selection resumes right after recovery.
-            if now < self.traffic_until + SimDuration::from_millis(500) {
+            if now < self.traffic_until + SETTLE {
                 ctx.schedule_in(SELECTION_TICK, Ev::SelectionTick);
             }
             return;
@@ -86,7 +86,7 @@ impl WgttWorld {
                 }
             }
         }
-        if now < self.traffic_until + SimDuration::from_millis(500) {
+        if now < self.traffic_until + SETTLE {
             ctx.schedule_in(SELECTION_TICK, Ev::SelectionTick);
         }
     }
@@ -106,14 +106,9 @@ impl WgttWorld {
             let cl = &self.clients[c];
             let idle = now.saturating_since(cl.last_uplink_tx) >= PROBE_INTERVAL;
             if idle && cl.uplink_queue.is_empty() {
-                let pkt = self.factory.make(
-                    ClientId(c as u32),
-                    FlowId(u32::MAX),
-                    Direction::Uplink,
-                    36,
-                    now,
-                    Payload::Raw,
-                );
+                let pkt =
+                    self.factory
+                        .make(ClientId(c as u32), FlowId(u32::MAX), 36, now, Payload::Raw);
                 self.clients[c].enqueue_uplink(pkt);
                 self.ensure_round(ctx);
             }

@@ -38,9 +38,8 @@ impl WgttWorld {
             return None;
         }
         let flow = &mut self.flows[fidx];
-        let (dir, src) = match &mut flow.kind {
-            FlowKind::DownUdp(src) => (Direction::Downlink, src),
-            FlowKind::UpUdp(src) => (Direction::Uplink, src),
+        let src = match &mut flow.kind {
+            FlowKind::DownUdp(src) | FlowKind::UpUdp(src) => src,
             FlowKind::DownTcp(_) => return None,
         };
         let client = ClientId(flow.client as u32);
@@ -48,7 +47,7 @@ impl WgttWorld {
         let mut due = Vec::new();
         while let Some(seq) = src.emit(now) {
             let payload = Payload::Udp { seq };
-            due.push(self.factory.make(client, flow.id, dir, len, now, payload));
+            due.push(self.factory.make(client, flow.id, len, now, payload));
         }
         Some((due, src.next_emit_time()))
     }
@@ -85,7 +84,6 @@ impl WgttWorld {
             let pkt = self.factory.make(
                 client,
                 id,
-                Direction::Downlink,
                 seg.len + overhead::TCP + overhead::IPV4,
                 now,
                 Payload::TcpData {

@@ -95,7 +95,9 @@ fn shrink_reduces_an_injected_violation_to_the_one_guilty_window() {
     // ...plus the injected violation: a total seam blackout on shard 0
     // for the whole run, which the two-attempt budget cannot out-wait.
     let horizon = SimTime::ZERO + duration + SimDuration::from_secs(1);
-    storm[0] = storm[0].clone().with_migration_loss(SimTime::ZERO, horizon, 1.0);
+    storm[0] = storm[0]
+        .clone()
+        .with_migration_loss(SimTime::ZERO, horizon, 1.0);
 
     let fails = |candidate: &[FaultSchedule]| {
         let mut s = base.clone();

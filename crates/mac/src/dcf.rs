@@ -1,4 +1,4 @@
-//! Distributed coordination function: carrier sense, backoff, collisions.
+//! Distributed coordination function: binary-exponential backoff.
 //!
 //! All WGTT APs and clients share channel 11, so medium access is the
 //! resource the multi-client experiments (Figs 17, 20) contend for. The
@@ -6,13 +6,12 @@
 //!
 //! * a [`Backoff`] per transmitter draws uniformly from `[0, CW]` and
 //!   doubles CW on failure (binary exponential backoff);
-//! * the [`Medium`] tracks when the channel is busy; a transmitter's access
-//!   time is `max(now, idle_at) + DIFS + slots·σ`;
-//! * two transmissions whose access times land in the same slot collide —
-//!   the world detects this by comparing grant times.
+//! * the world runs the contention itself: carrier sense is its registry
+//!   of transmissions on air, a station's grant is `now + DIFS + slots·σ`,
+//!   and two incompatible stations that draw the same slot collide.
 
-use crate::timing::{contention_window, difs, slot};
-use wgtt_sim::{SimDuration, SimRng, SimTime};
+use crate::timing::contention_window;
+use wgtt_sim::SimRng;
 
 /// Per-station binary-exponential backoff state.
 #[derive(Debug, Clone)]
@@ -70,72 +69,6 @@ impl Backoff {
     }
 }
 
-/// Shared-channel occupancy tracker.
-#[derive(Debug, Clone, Default)]
-pub struct Medium {
-    busy_until: SimTime,
-    /// Cumulative busy airtime (for utilization stats).
-    busy_time: SimDuration,
-    /// Completed transmissions.
-    tx_count: u64,
-}
-
-impl Medium {
-    /// Creates an idle medium.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// When the channel next becomes idle.
-    pub fn idle_at(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// True if the channel is idle at `t`.
-    pub fn is_idle(&self, t: SimTime) -> bool {
-        t >= self.busy_until
-    }
-
-    /// Computes the earliest transmit start for a station that wants to
-    /// send at `now` with `backoff_slots` drawn: carrier sense until idle,
-    /// then DIFS, then the backoff.
-    pub fn access_time(&self, now: SimTime, backoff_slots: u32) -> SimTime {
-        let start = if now > self.busy_until {
-            now
-        } else {
-            self.busy_until
-        };
-        start + difs() + slot() * backoff_slots as u64
-    }
-
-    /// Marks the channel busy for `[start, start + duration)`.
-    pub fn occupy(&mut self, start: SimTime, duration: SimDuration) {
-        let end = start + duration;
-        if end > self.busy_until {
-            self.busy_until = end;
-        }
-        self.busy_time += duration;
-        self.tx_count += 1;
-    }
-
-    /// Total time the channel has carried transmissions.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy_time
-    }
-
-    /// Number of occupancy grants.
-    pub fn tx_count(&self) -> u64 {
-        self.tx_count
-    }
-
-    /// Whether two access times land in the same backoff slot — the
-    /// collision criterion for simultaneous contenders.
-    pub fn same_slot(a: SimTime, b: SimTime) -> bool {
-        let d = if a > b { a - b } else { b - a };
-        d < slot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,63 +102,13 @@ mod tests {
     }
 
     #[test]
-    fn access_time_idle_channel() {
-        let m = Medium::new();
-        let t = m.access_time(SimTime::from_millis(5), 4);
-        // 5 ms + DIFS (28 µs) + 4 slots (36 µs).
-        assert_eq!(t, SimTime::from_micros(5_064));
-    }
-
-    #[test]
-    fn access_defers_to_busy_channel() {
-        let mut m = Medium::new();
-        m.occupy(SimTime::ZERO, SimDuration::from_millis(2));
-        let t = m.access_time(SimTime::from_millis(1), 0);
-        assert_eq!(t, SimTime::from_micros(2_028));
-        assert!(!m.is_idle(SimTime::from_millis(1)));
-        assert!(m.is_idle(SimTime::from_millis(2)));
-    }
-
-    #[test]
-    fn occupy_accumulates_stats() {
-        let mut m = Medium::new();
-        m.occupy(SimTime::ZERO, SimDuration::from_millis(1));
-        m.occupy(SimTime::from_millis(5), SimDuration::from_millis(2));
-        assert_eq!(m.busy_time(), SimDuration::from_millis(3));
-        assert_eq!(m.tx_count(), 2);
-        assert_eq!(m.idle_at(), SimTime::from_millis(7));
-    }
-
-    #[test]
-    fn overlapping_occupy_extends_not_shrinks() {
-        let mut m = Medium::new();
-        m.occupy(SimTime::ZERO, SimDuration::from_millis(10));
-        m.occupy(SimTime::from_millis(2), SimDuration::from_millis(1));
-        assert_eq!(m.idle_at(), SimTime::from_millis(10));
-    }
-
-    #[test]
-    fn same_slot_detection() {
-        let a = SimTime::from_micros(100);
-        assert!(Medium::same_slot(a, SimTime::from_micros(108)));
-        assert!(!Medium::same_slot(a, SimTime::from_micros(110)));
-        assert!(Medium::same_slot(a, a));
-    }
-
-    #[test]
     fn two_contenders_rarely_collide_with_big_cw() {
         // Statistical sanity: with CW=15, two contenders collide ≈ 1/16 of
         // the time.
         let mut rng = SimRng::new(7);
         let b = Backoff::default();
-        let m = Medium::new();
-        let now = SimTime::ZERO;
         let collisions = (0..4000)
-            .filter(|_| {
-                let ta = m.access_time(now, b.draw(&mut rng));
-                let tb = m.access_time(now, b.draw(&mut rng));
-                Medium::same_slot(ta, tb)
-            })
+            .filter(|_| b.draw(&mut rng) == b.draw(&mut rng))
             .count();
         let rate = collisions as f64 / 4000.0;
         assert!((rate - 1.0 / 16.0).abs() < 0.02, "collision rate {rate}");

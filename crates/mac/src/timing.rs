@@ -33,8 +33,6 @@ pub const BLOCK_ACK_BYTES: usize = 32;
 pub const ACK_BYTES: usize = 14;
 /// A-MPDU subframe delimiter, bytes.
 pub const MPDU_DELIMITER_BYTES: usize = 4;
-/// Maximum MPDUs in one A-MPDU (Block ACK window).
-pub const MAX_AMPDU_MPDUS: usize = 64;
 /// Maximum A-MPDU length, bytes.
 pub const MAX_AMPDU_BYTES: usize = 65_535;
 /// 802.11 sequence-number space (12 bits).

@@ -1,12 +1,8 @@
 //! Property-based tests on the MAC substrate.
 
 use proptest::prelude::*;
-use wgtt_mac::ampdu::AmpduPolicy;
 use wgtt_mac::blockack::{RxReorder, TxScoreboard};
-use wgtt_mac::timing::{
-    ampdu_airtime, contention_window, frame_airtime, payload_airtime, CW_MAX, CW_MIN,
-    MAX_AMPDU_BYTES, MPDU_DELIMITER_BYTES,
-};
+use wgtt_mac::timing::{contention_window, frame_airtime, payload_airtime, CW_MAX, CW_MIN};
 use wgtt_phy::{GuardInterval, Mcs};
 
 proptest! {
@@ -30,30 +26,6 @@ proptest! {
             payload_airtime(bytes, Mcs(mcs + 1), gi) <= payload_airtime(bytes, Mcs(mcs), gi)
         );
         prop_assert!(frame_airtime(bytes, Mcs(mcs), gi) > payload_airtime(bytes, Mcs(mcs), gi));
-    }
-
-    /// The aggregation policy never exceeds any of its limits, never takes
-    /// more than available, and always admits at least one pending MPDU
-    /// when the window allows it.
-    #[test]
-    fn ampdu_policy_respects_limits(
-        lens in proptest::collection::vec(60usize..2000, 0..120),
-        window in 0usize..65,
-        mcs in 0u8..8,
-    ) {
-        let p = AmpduPolicy::default();
-        let gi = GuardInterval::Short;
-        let n = p.take_count(&lens, Mcs(mcs), gi, window);
-        prop_assert!(n <= lens.len());
-        prop_assert!(n <= window.min(p.max_mpdus));
-        if !lens.is_empty() && window > 0 {
-            prop_assert!(n >= 1);
-        }
-        if n > 1 {
-            let bytes: usize = lens[..n].iter().map(|l| l + MPDU_DELIMITER_BYTES).sum();
-            prop_assert!(bytes <= MAX_AMPDU_BYTES);
-            prop_assert!(ampdu_airtime(&lens[..n], Mcs(mcs), gi) <= p.max_duration);
-        }
     }
 
     /// Scoreboard + reorderer with a *perfect* channel: one round delivers

@@ -1,6 +1,7 @@
 //! # wgtt-net — the network substrate
 //!
-//! Packet representation, controller⇄AP tunneling, the wired Ethernet
+//! Packet representation with the header overheads the wire carries
+//! (including the controller⇄AP tunnel's outer header), the wired Ethernet
 //! backhaul model, a miniature TCP (Reno/NewReno) implementation, and UDP
 //! flow machinery. Together these provide the end-to-end transport path the
 //! paper's experiments run over:
@@ -16,11 +17,9 @@
 pub mod backhaul;
 pub mod packet;
 pub mod tcp;
-pub mod tunnel;
 pub mod udp;
 
 pub use backhaul::{Backhaul, BackhaulDelivery};
-pub use packet::{overhead, ApId, ClientId, Direction, FlowId, Packet, PacketFactory, Payload};
+pub use packet::{overhead, ApId, ClientId, FlowId, Packet, PacketFactory, Payload};
 pub use tcp::{CongPhase, TcpConfig, TcpReceiver, TcpSegmentOut, TcpSender};
-pub use tunnel::{BackhaulNode, Tunneled, TUNNEL_OVERHEAD_BYTES};
 pub use udp::{CbrSource, UdpSink};

@@ -37,15 +37,6 @@ impl std::fmt::Display for FlowId {
     }
 }
 
-/// Direction of travel relative to the client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Internet → controller → AP → client.
-    Downlink,
-    /// Client → AP → controller → Internet.
-    Uplink,
-}
-
 /// Transport-layer payload carried by a packet.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Payload {
@@ -76,14 +67,10 @@ pub enum Payload {
 /// One simulated packet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
-    /// Globally unique id, assigned at creation — tracing/debugging handle.
-    pub id: u64,
     /// The client this packet is to (downlink) or from (uplink).
     pub client: ClientId,
     /// Application flow.
     pub flow: FlowId,
-    /// Travel direction.
-    pub direction: Direction,
     /// On-the-wire length in bytes (transport payload + TCP/UDP/IP
     /// headers; link-layer overhead is added by the MAC model).
     pub len_bytes: usize,
@@ -100,10 +87,9 @@ pub struct Packet {
     pub index: Option<u16>,
 }
 
-/// Allocates unique packet ids and per-client IP idents.
+/// Allocates per-client IP idents.
 #[derive(Debug, Default)]
 pub struct PacketFactory {
-    next_id: u64,
     next_ident: std::collections::HashMap<ClientId, u16>,
 }
 
@@ -113,39 +99,29 @@ impl PacketFactory {
         Self::default()
     }
 
-    /// Builds a packet, assigning a fresh id and the next IP ident for the
-    /// packet's source (client for uplink, server for downlink — we track
-    /// per client either way, which is what the dedup key needs).
+    /// Builds a packet carrying the next IP ident for the packet's source
+    /// (client for uplink, server for downlink — we track per client either
+    /// way, which is what the dedup key needs).
     pub fn make(
         &mut self,
         client: ClientId,
         flow: FlowId,
-        direction: Direction,
         len_bytes: usize,
         created: SimTime,
         payload: Payload,
     ) -> Packet {
-        let id = self.next_id;
-        self.next_id += 1;
         let ident = self.next_ident.entry(client).or_insert(0);
         let ip_ident = *ident;
         *ident = ident.wrapping_add(1);
         Packet {
-            id,
             client,
             flow,
-            direction,
             len_bytes,
             created,
             payload,
             ip_ident,
             index: None,
         }
-    }
-
-    /// Number of packets created so far.
-    pub fn created_count(&self) -> u64 {
-        self.next_id
     }
 
     /// The IP ident the next packet sourced by `client` will carry.
@@ -173,6 +149,9 @@ pub mod overhead {
     pub const ETHERNET: usize = 18;
     /// 802.11 data frame MAC header + FCS (QoS data).
     pub const DOT11: usize = 34;
+    /// Controller⇄AP tunnel: the outer header that carries a packet to or
+    /// from its AP over the backhaul (paper §3.1.3).
+    pub const TUNNEL: usize = ETHERNET + IPV4 + UDP;
 }
 
 #[cfg(test)]
@@ -185,7 +164,6 @@ mod tests {
         let a = f.make(
             ClientId(1),
             FlowId(0),
-            Direction::Downlink,
             1500,
             SimTime::ZERO,
             Payload::Udp { seq: 0 },
@@ -193,28 +171,19 @@ mod tests {
         let b = f.make(
             ClientId(1),
             FlowId(0),
-            Direction::Downlink,
             1500,
             SimTime::ZERO,
             Payload::Udp { seq: 1 },
         );
-        assert_ne!(a.id, b.id);
-        assert_eq!(f.created_count(), 2);
+        assert_ne!(a.ip_ident, b.ip_ident);
     }
 
     #[test]
     fn ip_ident_increments_per_client() {
         let mut f = PacketFactory::new();
         let mk = |f: &mut PacketFactory, c: u32| {
-            f.make(
-                ClientId(c),
-                FlowId(0),
-                Direction::Uplink,
-                100,
-                SimTime::ZERO,
-                Payload::Raw,
-            )
-            .ip_ident
+            f.make(ClientId(c), FlowId(0), 100, SimTime::ZERO, Payload::Raw)
+                .ip_ident
         };
         assert_eq!(mk(&mut f, 1), 0);
         assert_eq!(mk(&mut f, 1), 1);
@@ -226,22 +195,8 @@ mod tests {
     fn ip_ident_wraps() {
         let mut f = PacketFactory::new();
         f.next_ident.insert(ClientId(9), u16::MAX);
-        let a = f.make(
-            ClientId(9),
-            FlowId(0),
-            Direction::Uplink,
-            64,
-            SimTime::ZERO,
-            Payload::Raw,
-        );
-        let b = f.make(
-            ClientId(9),
-            FlowId(0),
-            Direction::Uplink,
-            64,
-            SimTime::ZERO,
-            Payload::Raw,
-        );
+        let a = f.make(ClientId(9), FlowId(0), 64, SimTime::ZERO, Payload::Raw);
+        let b = f.make(ClientId(9), FlowId(0), 64, SimTime::ZERO, Payload::Raw);
         assert_eq!(a.ip_ident, u16::MAX);
         assert_eq!(b.ip_ident, 0);
     }
@@ -259,7 +214,6 @@ mod tests {
         let p = f.make(
             ClientId(0),
             FlowId(0),
-            Direction::Downlink,
             1500,
             SimTime::from_millis(5),
             Payload::TcpData { seq: 0, len: 1448 },

@@ -32,7 +32,7 @@ proptest! {
     fn udp_sink_accounting(
         arrivals in proptest::collection::vec(0u64..200, 1..400),
     ) {
-        let mut sink = UdpSink::new(SimDuration::from_millis(100));
+        let mut sink = UdpSink::new();
         let mut distinct = std::collections::HashSet::new();
         for (i, &seq) in arrivals.iter().enumerate() {
             let fresh = distinct.insert(seq);

@@ -157,7 +157,7 @@ fn q_params(modulation: Modulation) -> (f64, f64) {
 /// inversion: solve `erfc(u) = 2·target/c` for `u = √(g/2k)`. A
 /// probit-style initial guess is polished by safeguarded Newton iteration
 /// on the analytic log-domain closed form of [`erfc`]'s approximation
-/// ([`ln_erfc_with_deriv`]) — typically 4–6 evaluations where the former
+/// (`ln_erfc_with_deriv`) — typically 4–6 evaluations where the former
 /// geometric bisection needed ~46 full BER evaluations, and immune to the
 /// underflow that makes the linear-domain function flat at high SNR. A
 /// shrinking bracket guarantees convergence even if a Newton step misfires.

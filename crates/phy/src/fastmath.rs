@@ -72,7 +72,7 @@ const REDUCTION_BOUND: f64 = 1.0e6;
 
 /// `(sin x, cos x)` with one fused argument reduction.
 ///
-/// Accuracy ~2 ulp for |x| < [`REDUCTION_BOUND`]; exact `std` fallback
+/// Accuracy ~2 ulp for |x| < `REDUCTION_BOUND`; exact `std` fallback
 /// outside. NaN/∞ propagate as NaN.
 #[inline]
 pub fn sincos(x: f64) -> (f64, f64) {

@@ -5,10 +5,9 @@
 //!
 //! * [`geom`] — testbed geometry: the roadside AP array of the paper's
 //!   Fig 9, positions, boresights;
-//! * [`mobility`] — client trajectories (drive-bys at 5–35 mph, the
-//!   two-car patterns of Fig 19);
-//! * [`antenna`] — the 14 dBi / 21° parabolic pattern and isotropic
-//!   clients;
+//! * [`mobility`] — client trajectories (stationary clients and
+//!   drive-bys at 5–35 mph in either direction);
+//! * [`antenna`] — the 14 dBi / 21° parabolic AP pattern;
 //! * [`pathloss`] — log-distance large-scale loss and the link budget;
 //! * [`fading`] — tapped-delay-line Rician fast fading with Doppler from
 //!   vehicle speed: the *vehicular picocell regime* generator;
@@ -40,7 +39,7 @@ pub mod pathloss;
 pub mod ratectl;
 pub mod shadowing;
 
-pub use antenna::{Antenna, Isotropic, ParabolicAntenna};
+pub use antenna::ParabolicAntenna;
 pub use complex::Cplx;
 pub use csi::{Csi, NUM_SUBCARRIERS};
 pub use error::PerModel;
@@ -49,7 +48,7 @@ pub use fading::{coherence_time_s, doppler_hz, FadingConfig, TappedDelayLine};
 pub use geom::{mph_to_mps, mps_to_mph, ApSite, Deployment, DeploymentConfig, Position};
 pub use link::{LinkConfig, WirelessLink};
 pub use mcs::{GuardInterval, Mcs};
-pub use mobility::{pattern_trajectories, ConstantSpeed, DrivePattern, Stationary, Trajectory};
+pub use mobility::{ConstantSpeed, Stationary, Trajectory};
 pub use pathloss::{db_to_linear, linear_to_db, LinkBudget, PathLoss};
 pub use ratectl::MinstrelLite;
 pub use shadowing::{ShadowingConfig, ShadowingProcess};

@@ -13,7 +13,7 @@
 //! the premise WGTT relies on — CSI measured from client *uplink* frames
 //! predicts *downlink* delivery (§3.1.1 of the paper).
 
-use crate::antenna::{Antenna, ParabolicAntenna};
+use crate::antenna::ParabolicAntenna;
 use crate::complex::Cplx;
 use crate::csi::{subcarrier_offsets_hz, Csi};
 use crate::fading::{doppler_hz, FadingConfig, TappedDelayLine};

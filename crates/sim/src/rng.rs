@@ -3,9 +3,10 @@
 //! Every experiment run owns a [`SimRng`] seeded from the run configuration,
 //! so results are exactly reproducible. The generator is self-contained —
 //! xoshiro256** seeded via splitmix64, with the distributions the PHY and
-//! protocol models need (normal, exponential, Rayleigh, Rician) implemented
+//! protocol models need (normal, exponential, uniform phase) implemented
 //! directly (Box–Muller and friends) — so the simulation core has no
-//! external dependencies at all.
+//! external dependencies at all. Fading draws its own taps in
+//! `wgtt_phy::fading`.
 //!
 //! Independent sub-streams (e.g. one per client–AP wireless link, one per
 //! processing-delay model) are derived with [`SimRng::fork`], which hashes a
@@ -151,28 +152,6 @@ impl SimRng {
         debug_assert!(mean > 0.0);
         let u: f64 = 1.0 - self.unit();
         -mean * u.ln()
-    }
-
-    /// Rayleigh-distributed amplitude with scale `sigma`
-    /// (mean power = `2*sigma^2`).
-    pub fn rayleigh(&mut self, sigma: f64) -> f64 {
-        let u: f64 = 1.0 - self.unit();
-        sigma * (-2.0 * u.ln()).sqrt()
-    }
-
-    /// Rician-distributed amplitude with K-factor `k` (linear, not dB) and
-    /// total mean power `omega`.
-    ///
-    /// Models a channel with a line-of-sight component of power
-    /// `k/(k+1)*omega` plus scattered power `omega/(k+1)`; `k = 0`
-    /// degenerates to Rayleigh fading.
-    pub fn rician(&mut self, k: f64, omega: f64) -> f64 {
-        debug_assert!(k >= 0.0 && omega > 0.0);
-        let los = (k * omega / (k + 1.0)).sqrt();
-        let sigma = (omega / (2.0 * (k + 1.0))).sqrt();
-        let x = los + sigma * self.standard_normal();
-        let y = sigma * self.standard_normal();
-        (x * x + y * y).sqrt()
     }
 
     /// A uniformly random phase in `[0, 2π)`.
@@ -333,38 +312,6 @@ mod tests {
         assert!((mean - 3.0).abs() < 0.15, "mean {mean}");
         // Exponential samples are non-negative.
         assert!((0..100).all(|_| r.exponential(1.0) >= 0.0));
-    }
-
-    #[test]
-    fn rayleigh_mean_power() {
-        let mut r = SimRng::new(17);
-        let sigma = 1.5;
-        let n = 20_000;
-        let pwr = (0..n).map(|_| r.rayleigh(sigma).powi(2)).sum::<f64>() / n as f64;
-        assert!((pwr - 2.0 * sigma * sigma).abs() < 0.2, "power {pwr}");
-    }
-
-    #[test]
-    fn rician_mean_power_and_k_limit() {
-        let mut r = SimRng::new(19);
-        let n = 20_000;
-        // Total power should equal omega regardless of K.
-        for &k in &[0.0, 1.0, 6.0] {
-            let pwr = (0..n).map(|_| r.rician(k, 2.0).powi(2)).sum::<f64>() / n as f64;
-            assert!((pwr - 2.0).abs() < 0.15, "K={k} power {pwr}");
-        }
-        // Large K concentrates amplitude near sqrt(omega): variance shrinks.
-        let var_k0: f64 = {
-            let s: Vec<f64> = (0..n).map(|_| r.rician(0.0, 1.0)).collect();
-            let m = s.iter().sum::<f64>() / n as f64;
-            s.iter().map(|x| (x - m).powi(2)).sum::<f64>() / n as f64
-        };
-        let var_k20: f64 = {
-            let s: Vec<f64> = (0..n).map(|_| r.rician(20.0, 1.0)).collect();
-            let m = s.iter().sum::<f64>() / n as f64;
-            s.iter().map(|x| (x - m).powi(2)).sum::<f64>() / n as f64
-        };
-        assert!(var_k20 < var_k0 / 4.0);
     }
 
     #[test]

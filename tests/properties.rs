@@ -5,9 +5,7 @@ use proptest::prelude::*;
 use wgtt::core::cyclic::{index_add, index_fwd_dist, CyclicQueue, IndexAllocator, INDEX_SPACE};
 use wgtt::core::dedup::Deduplicator;
 use wgtt::mac::blockack::{seq_add, seq_fwd_dist, BlockAckFrame, RxReorder, TxScoreboard};
-use wgtt::net::{
-    ClientId, Direction, FlowId, PacketFactory, Payload, TcpConfig, TcpReceiver, TcpSender,
-};
+use wgtt::net::{ClientId, FlowId, PacketFactory, Payload, TcpConfig, TcpReceiver, TcpSender};
 use wgtt::sim::stats::TimeWindow;
 use wgtt::sim::{EventQueue, SimDuration, SimTime};
 
@@ -15,7 +13,6 @@ fn packet_with_index(f: &mut PacketFactory, index: u16) -> wgtt::net::Packet {
     let mut p = f.make(
         ClientId(0),
         FlowId(0),
-        Direction::Downlink,
         1500,
         SimTime::ZERO,
         Payload::Udp { seq: index as u64 },
