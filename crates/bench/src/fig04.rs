@@ -49,6 +49,8 @@ fn stock_config() -> SystemConfig {
     cfg.baseline.handover_latency = SimDuration::from_millis(300);
     // Two APs only, like the paper's plot.
     cfg.deployment.num_aps = 2;
+    // Capacity loss is the oracle's measurement.
+    cfg.oracle = true;
     cfg
 }
 
@@ -95,7 +97,11 @@ pub fn run_experiment(mph: f64, seed: u64) -> StallResult {
         handover_succeeded: switch_at.is_some(),
         switch_at_s: switch_at,
         last_delivery_s: last,
-        capacity_loss_mbit: m.mean_capacity_loss_bps() / 1e6 * duration.as_secs_f64(),
+        capacity_loss_mbit: m
+            .mean_capacity_loss_bps()
+            .expect("oracle on, yet it took no capacity sample")
+            / 1e6
+            * duration.as_secs_f64(),
         goodput_mbps: m.mean_downlink_bps(duration) / 1e6,
     }
 }

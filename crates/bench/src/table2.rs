@@ -24,14 +24,19 @@ pub struct AccuracyTable {
 
 fn accuracy(mode: Mode, tcp: bool, seeds: std::ops::Range<u64>) -> f64 {
     let results = sweep_seeds(seeds, |seed| {
-        if tcp {
+        let mut s = if tcp {
             tcp_drive(mode, 15.0, seed)
         } else {
             udp_drive(mode, 15.0, seed)
-        }
+        };
+        s.config.oracle = true;
+        s
     });
     mean_over(&results, |r| {
-        r.world.clients[0].metrics.switching_accuracy()
+        r.world.clients[0]
+            .metrics
+            .switching_accuracy()
+            .expect("oracle on, yet the client was never scored")
     }) * 100.0
 }
 

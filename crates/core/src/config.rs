@@ -168,6 +168,14 @@ pub struct SystemConfig {
     pub degraded_uplink_cap: usize,
     /// Retry/backoff policy for two-phase seam migration (§6f).
     pub migration: MigrationConfig,
+
+    // --- measurement ---
+    /// Run the instantaneous-ESNR oracle every millisecond to score
+    /// switching accuracy and capacity loss (Table 2, Fig 4). It only
+    /// observes: every system-side result is byte-identical with it on
+    /// or off. Off by default because it dominates a run's cost; the
+    /// harnesses that report its fields turn it on.
+    pub oracle: bool,
 }
 
 impl Default for SystemConfig {
@@ -190,6 +198,7 @@ impl Default for SystemConfig {
             channel_stride: 1,
             degraded_uplink_cap: crate::ap::DEGRADED_UPLINK_CAP,
             migration: MigrationConfig::default(),
+            oracle: false,
         }
     }
 }
@@ -223,6 +232,7 @@ mod tests {
         assert_eq!(c.deployment.num_aps, 8);
         assert!((c.deployment.ap_spacing_m - 7.5).abs() < 1e-12);
         assert!(c.flush_on_switch && c.ba_forwarding && c.uplink_dedup);
+        assert!(!c.oracle);
     }
 
     #[test]

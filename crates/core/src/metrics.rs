@@ -136,13 +136,11 @@ impl ClientMetrics {
     }
 
     /// Mean channel-capacity loss, bit/s (Fig 4's dashed-area metric and
-    /// the Fig 21 y-axis).
-    pub fn mean_capacity_loss_bps(&self) -> f64 {
-        if self.capacity_samples == 0 {
-            0.0
-        } else {
-            self.capacity_loss_bps_sum / self.capacity_samples as f64
-        }
+    /// the Fig 21 y-axis); `None` when the oracle took no sample (it is
+    /// off unless `SystemConfig::oracle` is set).
+    pub fn mean_capacity_loss_bps(&self) -> Option<f64> {
+        (self.capacity_samples > 0)
+            .then(|| self.capacity_loss_bps_sum / self.capacity_samples as f64)
     }
 
     /// Records an association change if it differs from the last entry.
@@ -191,13 +189,11 @@ impl ClientMetrics {
         }
     }
 
-    /// Switching accuracy (Table 2): fraction of ticks on the optimal AP.
-    pub fn switching_accuracy(&self) -> f64 {
-        if self.accuracy_total == 0 {
-            0.0
-        } else {
-            self.accuracy_optimal as f64 / self.accuracy_total as f64
-        }
+    /// Switching accuracy (Table 2): fraction of oracle ticks on the
+    /// optimal AP; `None` when the oracle scored no tick (it is off unless
+    /// `SystemConfig::oracle` is set).
+    pub fn switching_accuracy(&self) -> Option<f64> {
+        (self.accuracy_total > 0).then(|| self.accuracy_optimal as f64 / self.accuracy_total as f64)
     }
 
     /// ACK collision rate (Table 3).
@@ -516,7 +512,10 @@ mod tests {
         let mut m = ClientMetrics::new(SimDuration::from_millis(100));
         m.accuracy_total = 100;
         m.accuracy_optimal = 90;
-        assert!((m.switching_accuracy() - 0.9).abs() < 1e-12);
+        assert!((m.switching_accuracy().unwrap() - 0.9).abs() < 1e-12);
+        m.capacity_loss_bps_sum = 3e6;
+        m.capacity_samples = 4;
+        assert_eq!(m.mean_capacity_loss_bps(), Some(0.75e6));
         m.ack_responses = 1000;
         m.ack_collisions = 2;
         assert!((m.ack_collision_rate() - 0.002).abs() < 1e-12);
@@ -546,7 +545,8 @@ mod tests {
     #[test]
     fn empty_metrics_are_zero() {
         let m = ClientMetrics::new(SimDuration::from_millis(100));
-        assert_eq!(m.switching_accuracy(), 0.0);
+        assert_eq!(m.switching_accuracy(), None);
+        assert_eq!(m.mean_capacity_loss_bps(), None);
         assert_eq!(m.ack_collision_rate(), 0.0);
         assert_eq!(m.mpdu_delivery_ratio(), 0.0);
         assert_eq!(m.mean_downlink_bps(SimDuration::from_secs(1)), 0.0);

@@ -204,7 +204,8 @@ pub enum Ev {
     SwitchTimeout { client: usize },
     /// Controller evaluates AP selection.
     SelectionTick,
-    /// Oracle accuracy/capacity sampling.
+    /// Oracle accuracy/capacity sampling; a single no-op tick unless
+    /// `SystemConfig::oracle` is set.
     AccuracyTick,
     /// Baseline: APs beacon.
     BeaconTick,
@@ -656,6 +657,8 @@ pub fn prime_events(sim: &mut wgtt_sim::Simulator<WgttWorld>) {
     let n_flows = sim.world().flows.len();
     let mode = sim.world().cfg.mode;
     sim.schedule_at(SimTime::ZERO, Ev::SelectionTick);
+    // Primed with the oracle off too: the tick then returns without
+    // re-arming, and harnesses that mirror this priming stay in step.
     sim.schedule_at(SimTime::from_micros(500), Ev::AccuracyTick);
     if mode == Mode::Enhanced80211r {
         sim.schedule_at(SimTime::ZERO, Ev::BeaconTick);

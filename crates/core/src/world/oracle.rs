@@ -1,11 +1,19 @@
 //! The measurement oracle: per-millisecond ESNR ranking of every AP for
 //! switching accuracy and the capacity-loss integral (Table 2, Figs 4
 //! and 21).
+//!
+//! It is opt-in through `SystemConfig::oracle`. `prime_events` always
+//! schedules the first tick; with the oracle off that tick returns at
+//! once and never re-arms. It reads system state and writes only its own
+//! fields, so everything else is byte-identical with it on or off.
 
 use super::*;
 
 impl WgttWorld {
     pub(super) fn on_accuracy_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
+        if !self.cfg.oracle {
+            return;
+        }
         let now = ctx.now();
         for c in 0..self.clients.len() {
             if self.departed[c] {

@@ -8,9 +8,12 @@
 use wgtt_core::config::{Mode, SystemConfig};
 use wgtt_core::runner::{run, FlowSpec, Scenario};
 
+/// A drive with the measurement oracle on, so switching accuracy is
+/// scored.
 fn drive_scenario(mode: Mode, mph: f64, flows: Vec<FlowSpec>, seed: u64) -> Scenario {
     let cfg = SystemConfig {
         mode,
+        oracle: true,
         ..SystemConfig::default()
     };
     Scenario::single_drive(cfg, mph, flows, seed)
@@ -85,7 +88,7 @@ fn wgtt_switching_accuracy_high() {
         4,
     );
     let res = run(scenario);
-    let acc = res.world.clients[0].metrics.switching_accuracy();
+    let acc = res.world.clients[0].metrics.switching_accuracy().unwrap();
     assert!(acc > 0.6, "WGTT switching accuracy {acc}");
 }
 
@@ -101,7 +104,7 @@ fn baseline_switching_accuracy_low() {
         4,
     );
     let res = run(scenario);
-    let acc = res.world.clients[0].metrics.switching_accuracy();
+    let acc = res.world.clients[0].metrics.switching_accuracy().unwrap();
     let wgtt_acc = {
         let s = drive_scenario(
             Mode::Wgtt,
@@ -112,7 +115,10 @@ fn baseline_switching_accuracy_low() {
             }],
             4,
         );
-        run(s).world.clients[0].metrics.switching_accuracy()
+        run(s).world.clients[0]
+            .metrics
+            .switching_accuracy()
+            .unwrap()
     };
     assert!(
         wgtt_acc > acc + 0.2,

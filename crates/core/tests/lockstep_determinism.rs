@@ -14,7 +14,8 @@
 //!   `WGTT_WORLD_WORKERS` is absent) must stay bit-identical to the
 //!   pre-sharding engine. The three fingerprints below were captured on
 //!   the commit before the sharding layer landed; any drift in them means
-//!   the "all-false `departed` guards are no-ops" invariant broke.
+//!   the "all-false `departed` guards are no-ops" invariant broke. They
+//!   count the measurement oracle's ticks, so these probes run with it on.
 
 use wgtt_core::config::SystemConfig;
 use wgtt_core::runner::{run, FlowSpec, RunResult, Scenario};
@@ -39,6 +40,15 @@ fn emit_probe(name: &str, payload: &str) {
 }
 
 // ---------- serial-reference pinning ----------
+
+/// The pinned probes' configuration: the defaults with the oracle on,
+/// as when the fingerprints were captured.
+fn probe_config() -> SystemConfig {
+    SystemConfig {
+        oracle: true,
+        ..SystemConfig::default()
+    }
+}
 
 /// Pre-sharding fingerprint of the failover probe (seed 77, 15 mph,
 /// AP 3 outage 1–3 s, 30 % CSI drops 2–6 s), captured on the parent
@@ -165,7 +175,7 @@ fn serial_failover_probe_matches_pre_sharding_engine() {
         .with_ap_outage(3, SimTime::from_secs(1), SimTime::from_secs(3))
         .with_csi_drops(SimTime::from_secs(2), SimTime::from_secs(6), 0.3);
     let mut s = Scenario::single_drive(
-        SystemConfig::default(),
+        probe_config(),
         15.0,
         vec![FlowSpec::DownlinkUdp {
             rate_bps: 20_000_000,
@@ -184,7 +194,7 @@ fn serial_chaos_probe_matches_pre_sharding_engine() {
         .with_duplication(SimTime::ZERO, until, 0.05)
         .with_reordering(SimTime::ZERO, until, 0.05, SimDuration::from_millis(1));
     let mut s = Scenario::single_drive(
-        SystemConfig::default(),
+        probe_config(),
         25.0,
         vec![FlowSpec::DownlinkUdp {
             rate_bps: 20_000_000,
@@ -201,7 +211,7 @@ fn serial_standby_probe_matches_pre_sharding_engine() {
     let faults = FaultSchedule::new()
         .with_controller_failover(SimTime::from_secs_f64(2.0), SimTime::from_secs_f64(3.5));
     let mut s = Scenario::single_drive(
-        SystemConfig::default(),
+        probe_config(),
         25.0,
         vec![
             FlowSpec::DownlinkUdp {

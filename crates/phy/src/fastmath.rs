@@ -12,7 +12,9 @@
 //!    arithmetic and reproduces bit-identically anywhere.
 //! 2. **Throughput.** One fused [`sincos`] halves the call count of the
 //!    fading evaluator's `e^{jθ}` phasors, and the kernels inline into
-//!    their (non-vectorized but call-free) call sites.
+//!    their (non-vectorized) call sites without calling out: the argument
+//!    reductions round with an exact inline `round`, because `f64::round`
+//!    compiles to a `libm` call on baseline x86-64.
 //!
 //! The algorithms are the classical fdlibm ones (Cody–Waite argument
 //! reduction, minimax polynomial kernels) with accuracy ~1 ulp for [`exp`]
@@ -66,6 +68,22 @@ fn k_cos(r: f64) -> f64 {
     1.0 - 0.5 * z + z * z * (C1 + z * (C2 + z * (C3 + z * (C4 + z * (C5 + z * C6)))))
 }
 
+/// Just below ½: the largest `f64` under it, `0.5 − 2⁻⁵⁴`.
+const HALF_MINUS_ULP: f64 = 0.499_999_999_999_999_94;
+
+/// `x.round()` (half away from zero, sign of zero kept) without a `libm`
+/// call, bit-exact for |x| < 2⁶², which covers every reduction quotient
+/// here.
+///
+/// Adding `½ − 2⁻⁵⁴` rather than ½ keeps an `x` just under a half-integer
+/// from rounding up in the addition, while an exact half-integer still
+/// carries over; truncation then finishes, and the outer `copysign` gives
+/// `round(−0.3) == −0.0`.
+#[inline]
+fn round(x: f64) -> f64 {
+    ((x + HALF_MINUS_ULP.copysign(x)) as i64 as f64).copysign(x)
+}
+
 /// Bound of the Cody–Waite reduction: beyond it precision degrades, so
 /// [`sincos`] falls back to `std` (the simulator's phases never get there).
 const REDUCTION_BOUND: f64 = 1.0e6;
@@ -82,7 +100,7 @@ pub fn sincos(x: f64) -> (f64, f64) {
         // Huge, NaN or infinite: take libm's argument reduction.
         return (x.sin(), x.cos());
     }
-    let fk = (x * INV_PIO2).round();
+    let fk = round(x * INV_PIO2);
     // Two-stage Cody–Waite reduction: r = x − k·π/2 to ~2⁻⁷⁰ even after
     // the cancellation a 2²⁰-sized k causes.
     let t = x - fk * PIO2_1;
@@ -146,7 +164,7 @@ pub fn exp(x: f64) -> f64 {
         // |x| < 2⁻²⁸: 1 + x already rounds correctly.
         return 1.0 + x;
     }
-    let fk = (x * INV_LN2).round();
+    let fk = round(x * INV_LN2);
     let hi = x - fk * LN2_HI;
     let lo = fk * LN2_LO;
     let r = hi - lo;
@@ -229,6 +247,36 @@ mod tests {
         *state ^= *state >> 7;
         *state ^= *state << 17;
         (*state >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn round_matches_std_bit_for_bit() {
+        let same = |x: f64| {
+            assert_eq!(round(x).to_bits(), x.round().to_bits(), "round({x:e})");
+            assert_eq!(round(-x).to_bits(), (-x).round().to_bits(), "round(-{x:e})");
+        };
+        for x in [0.0, 0.5, HALF_MINUS_ULP, 1.0, 1.5, 2.5, 0.3, 1e-300, 5e-324] {
+            same(x);
+        }
+        // Half-integers and their neighbours up to 2⁵³, where halves stop
+        // being representable.
+        for e in 0..=53 {
+            let base = (1u64 << e) as f64;
+            for k in [base - 1.0, base, base + 1.0] {
+                let h = k + 0.5;
+                same(h);
+                same(f64::from_bits(h.to_bits() - 1));
+                same(f64::from_bits(h.to_bits() + 1));
+            }
+        }
+        // Random points across both kernels' quotient ranges: sincos sees
+        // |x · 2/π| < REDUCTION_BOUND · 2/π, exp sees |x / ln 2| < 1075.
+        let mut s = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..100_000 {
+            same((xorshift(&mut s) - 0.5) * 2.0 * REDUCTION_BOUND * INV_PIO2);
+            same((xorshift(&mut s) - 0.5) * 2.0 * 1075.0);
+            same((xorshift(&mut s) - 0.5) * 8.0);
+        }
     }
 
     #[test]
