@@ -692,7 +692,7 @@ pub fn prime_events(sim: &mut wgtt_sim::Simulator<WgttWorld>) {
     // Warm-standby machinery only spins up when a failover is armed: an
     // unarmed run schedules no journal or detector events at all, keeping
     // it bit-identical to the single-controller engine.
-    if mode == Mode::Wgtt && !sim.world().faults.controller_failovers.is_empty() {
+    if mode == Mode::Wgtt && sim.world().faults.standby_armed() {
         sim.schedule_at(SimTime::from_millis(10), Ev::JournalShip);
         sim.schedule_at(SimTime::from_millis(5), Ev::StandbyCheck);
     }

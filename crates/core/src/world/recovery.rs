@@ -131,7 +131,7 @@ impl WgttWorld {
         }
         self.controller_down = true;
         self.sys.controller_crashes += 1;
-        if !self.faults.controller_failovers.is_empty() {
+        if self.faults.standby_armed() {
             // A standby is armed: start the takeover-latency clock and
             // freeze what the dying process held — its term and in-flight
             // switches are exactly what the zombie replays at wake.

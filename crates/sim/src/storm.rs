@@ -15,7 +15,7 @@
 //! remaining window makes the failure disappear — which turns a
 //! forty-window storm into the two or three windows that actually matter.
 
-use crate::fault::FaultSchedule;
+use crate::fault::{BackhaulFault, FaultSchedule};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -136,13 +136,12 @@ pub fn random_storm(cfg: &StormConfig, rng: &mut SimRng) -> Vec<FaultSchedule> {
         }
         for _ in 0..cfg.backhaul_windows {
             let (from, until) = rand_window(&mut rng, cfg.duration, &cfg.window_len);
-            s = s.with_backhaul_fault(crate::fault::BackhaulFault {
-                from,
-                until,
+            let fault = BackhaulFault {
                 extra_loss_prob: cfg.backhaul_loss,
                 extra_latency: cfg.backhaul_latency,
                 extra_jitter_mean: SimDuration::ZERO,
-            });
+            };
+            s = s.with_backhaul_fault(from, until, fault);
         }
         for _ in 0..cfg.dup_windows {
             let (from, until) = rand_window(&mut rng, cfg.duration, &cfg.window_len);
@@ -182,62 +181,14 @@ pub fn random_storm(cfg: &StormConfig, rng: &mut SimRng) -> Vec<FaultSchedule> {
     storms
 }
 
-/// Number of addressable window families in a [`FaultSchedule`].
-const FAMILIES: usize = 11;
-
-fn family_len(s: &FaultSchedule, fam: usize) -> usize {
-    match fam {
-        0 => s.ap_outages.len(),
-        1 => s.backhaul.len(),
-        2 => s.partitions.len(),
-        3 => s.controller_crashes.len(),
-        4 => s.controller_failovers.len(),
-        5 => s.journal_lag.len(),
-        6 => s.csi_drops.len(),
-        7 => s.duplication.len(),
-        8 => s.reordering.len(),
-        9 => s.migration_loss.len(),
-        10 => s.migration_dup.len(),
-        _ => unreachable!("family index out of range"),
-    }
-}
-
-fn remove_window(s: &mut FaultSchedule, fam: usize, i: usize) {
-    match fam {
-        0 => drop(s.ap_outages.remove(i)),
-        1 => drop(s.backhaul.remove(i)),
-        2 => drop(s.partitions.remove(i)),
-        3 => drop(s.controller_crashes.remove(i)),
-        4 => drop(s.controller_failovers.remove(i)),
-        5 => drop(s.journal_lag.remove(i)),
-        6 => drop(s.csi_drops.remove(i)),
-        7 => drop(s.duplication.remove(i)),
-        8 => drop(s.reordering.remove(i)),
-        9 => drop(s.migration_loss.remove(i)),
-        10 => drop(s.migration_dup.remove(i)),
-        _ => unreachable!("family index out of range"),
-    }
-}
-
-fn total_windows(schedules: &[FaultSchedule]) -> usize {
-    let counted: usize = schedules.iter().map(|s| s.window_count()).sum();
-    let addressed: usize = schedules
-        .iter()
-        .map(|s| (0..FAMILIES).map(|f| family_len(s, f)).sum::<usize>())
-        .sum();
-    // A window family added to FaultSchedule but not to the shrinker's
-    // address space would silently survive every shrink — fail loudly.
-    assert_eq!(
-        counted, addressed,
-        "storm shrinker is missing a fault family"
-    );
-    counted
-}
-
 /// Minimizes a failing storm by greedy window removal: repeatedly deletes
 /// one window, keeps the deletion whenever `fails` still returns `true`,
 /// and stops at a fixpoint. The result is 1-minimal: removing any single
 /// remaining window no longer reproduces the failure.
+///
+/// Candidates are tried shard by shard, and within a shard by
+/// [`FaultSchedule::remove_window`] index from the last window to the
+/// first; every kept deletion restarts the scan.
 ///
 /// `fails` must return `true` for the input storm (asserted), and should
 /// be deterministic — it is typically "run the scenario under these
@@ -250,26 +201,18 @@ where
         fails(&schedules),
         "shrink needs a failing storm to start from"
     );
-    loop {
-        let mut reduced = false;
-        'scan: for shard in 0..schedules.len() {
-            for fam in 0..FAMILIES {
-                // Walk backwards so a removal never shifts untried indices.
-                for i in (0..family_len(&schedules[shard], fam)).rev() {
-                    let mut candidate = schedules.clone();
-                    remove_window(&mut candidate[shard], fam, i);
-                    if fails(&candidate) {
-                        schedules = candidate;
-                        reduced = true;
-                        break 'scan;
-                    }
+    'restart: loop {
+        for shard in 0..schedules.len() {
+            for i in (0..schedules[shard].window_count()).rev() {
+                let mut candidate = schedules.clone();
+                candidate[shard].remove_window(i);
+                if fails(&candidate) {
+                    schedules = candidate;
+                    continue 'restart;
                 }
             }
         }
-        if !reduced {
-            let _ = total_windows(&schedules);
-            return schedules;
-        }
+        return schedules;
     }
 }
 
