@@ -64,9 +64,6 @@ pub struct ClientState {
     pub last_uplink_tx: SimTime,
     /// TCP receive endpoints, by flow.
     pub tcp_rx: HashMap<FlowId, TcpReceiver>,
-    /// Last cumulative ACK enqueued per TCP flow (to count dupACKs
-    /// correctly we enqueue every ACK; this is for diagnostics).
-    pub last_ack_sent: HashMap<FlowId, u64>,
     /// Downlink UDP sinks, by flow.
     pub udp_sink: HashMap<FlowId, UdpSink>,
     /// Measurements.
@@ -121,7 +118,6 @@ impl ClientState {
             next_ul_seq: 0,
             last_uplink_tx: SimTime::ZERO,
             tcp_rx: HashMap::new(),
-            last_ack_sent: HashMap::new(),
             udp_sink: HashMap::new(),
             metrics: ClientMetrics::new(metrics_bin),
             rssi: HashMap::new(),

@@ -65,11 +65,6 @@ pub struct ClientMetrics {
     pub uplink: BinnedSeries,
     /// `(time, serving AP)` association/switch timeline (Figs 14, 15, 22).
     pub assoc_timeline: Vec<(SimTime, Option<ApId>)>,
-    /// PHY rate (Mbit/s) of each successfully delivered downlink MPDU.
-    pub delivered_mpdu_rates_mbps: Vec<f64>,
-    /// PHY rate (Mbit/s) of every transmitted downlink MPDU — what a
-    /// monitor capture would see on the air.
-    pub attempted_mpdu_rates_mbps: Vec<f64>,
     /// Per-100 ms sums of delivered-MPDU PHY rates (numerator of the
     /// per-bin mean link bit rate — the Fig 16 CDF population).
     pub rate_bin_sum: BinnedSeries,
@@ -92,8 +87,6 @@ pub struct ClientMetrics {
     pub mpdu_retransmits: u64,
     /// Block ACKs recovered via backhaul forwarding (§3.2.1 mechanism).
     pub ba_forwarded_applied: u64,
-    /// Block ACKs lost at the serving AP (before any forwarding).
-    pub ba_lost_at_serving: u64,
     /// Sum over oracle samples of the best link's capacity, bit/s.
     pub capacity_best_bps_sum: f64,
     /// Sum over oracle samples of `max(0, best − serving)` capacity, bit/s.
@@ -103,8 +96,6 @@ pub struct ClientMetrics {
     /// Completed failovers after a serving-AP crash: `(completion time,
     /// latency from the crash instant to re-attachment)`.
     pub failovers: Vec<(SimTime, SimDuration)>,
-    /// Total time spent detached because of AP faults.
-    pub blackout_total: SimDuration,
 }
 
 impl ClientMetrics {
@@ -114,8 +105,6 @@ impl ClientMetrics {
             downlink: BinnedSeries::new(bin),
             uplink: BinnedSeries::new(bin),
             assoc_timeline: Vec::new(),
-            delivered_mpdu_rates_mbps: Vec::new(),
-            attempted_mpdu_rates_mbps: Vec::new(),
             rate_bin_sum: BinnedSeries::new(bin),
             rate_bin_count: BinnedSeries::new(bin),
             accuracy_total: 0,
@@ -126,12 +115,10 @@ impl ClientMetrics {
             mpdu_successes: 0,
             mpdu_retransmits: 0,
             ba_forwarded_applied: 0,
-            ba_lost_at_serving: 0,
             capacity_best_bps_sum: 0.0,
             capacity_loss_bps_sum: 0.0,
             capacity_samples: 0,
             failovers: Vec::new(),
-            blackout_total: SimDuration::ZERO,
         }
     }
 
